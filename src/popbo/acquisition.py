@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, PreconditionError, RectifiedRegionError
-from .poisson import log_factorials, log_partial_exp_sum
+from .poisson import log_factorials, log_partial_exp_sum, log_partial_exp_sum_pair, logsumexp
 from .space import ContinuousSpace, DiscreteSpace
 from .surrogate import TRUNCATION_SWITCH_N, IntensityModel, ObservationSet
 
@@ -79,8 +78,7 @@ class AcquisitionConfig:
 def _truncated_means(rates: np.ndarray, max_rank: int) -> np.ndarray:
     if max_rank == 0:
         return np.zeros_like(rates)
-    log_num = log_partial_exp_sum(rates, max_rank - 1)
-    log_den = log_partial_exp_sum(rates, max_rank)
+    log_den, log_num = log_partial_exp_sum_pair(rates, max_rank)
     return rates * np.exp(log_num - log_den)
 
 

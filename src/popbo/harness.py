@@ -21,7 +21,7 @@ import numpy as np
 
 from .acquisition import AcquisitionConfig
 from .benchmarks import BENCHMARK_NAMES, TabularBenchmark, get_benchmark
-from .engine import BoRunConfig, RegretTrace, TraceRecord, run
+from .engine import BoRunConfig, RegretTrace, TraceRecord, _observe, run
 from .errors import DomainError, EvaluationFailedError, InputError, PreconditionError
 
 __all__ = [
@@ -80,11 +80,18 @@ class ExperimentConfig:
 
 
 def resolve_benchmark(name: str, noise_sigma: float = 0.0):
-    """Registry name or tabular CSV path -> objective."""
+    """Registry name or tabular CSV path -> objective.
+
+    Tables are exact lookups with no noise model, so asking for noise on one
+    is an error rather than a setting that is silently dropped.
+    """
     if str(name).lower() in BENCHMARK_NAMES:
         return get_benchmark(name, noise_sigma)
     path = Path(name)
     if path.suffix.lower() == ".csv" and path.exists():
+        if noise_sigma > 0:
+            raise DomainError(f"noise_sigma={noise_sigma!r} given for table {name!r}, "
+                              "which has no noise model")
         return TabularBenchmark.from_csv(path)
     raise DomainError(
         f"unknown benchmark {name!r}: expected one of {BENCHMARK_NAMES} or a CSV path"
@@ -102,6 +109,10 @@ def random_search_baseline(objective, budget: int, seed: int,
     The first min(n_init, budget) draws replicate the engine's initial-design
     block (one block draw, then per-point noise), so a PoPBO run with the
     same seed shares those rows bitwise.
+
+    Raises:
+        EvaluationFailedError: an evaluation raised or returned a non-finite
+            value; the error carries the trace observed so far.
     """
     if budget < 1:
         raise PreconditionError(f"budget must be >= 1, got {budget}")
@@ -127,12 +138,12 @@ def random_search_baseline(objective, budget: int, seed: int,
     points = space.sample(rng, block)
     for i in range(block):
         t0 = time.perf_counter()
-        y = float(objective.evaluate(points[i], rng))
+        y = _observe(objective, points[i], rng, trace)
         record(0, points[i], y, time.perf_counter() - t0)
     for t in range(1, budget - block + 1):
         x = space.sample(rng, 1)[0]
         t0 = time.perf_counter()
-        y = float(objective.evaluate(x, rng))
+        y = _observe(objective, x, rng, trace)
         record(t, x, y, time.perf_counter() - t0)
     return trace
 
@@ -225,18 +236,18 @@ def _build_run_config(cfg: ExperimentConfig, n_init: int, seed: int) -> BoRunCon
     return BoRunConfig(n_init=n_init, n_iters=cfg.n_iters, seed=seed, acquisition=acq)
 
 
-def _run_one(cfg: ExperimentConfig, benchmark_label: str, n_init: int, seed: int) -> Path:
-    objective = resolve_benchmark(cfg.benchmark, cfg.noise_sigma)
+def _run_one(cfg: ExperimentConfig, objective, benchmark_label: str, n_init: int,
+             seed: int) -> Path:
     out = trace_path(cfg.out_dir, cfg.method, benchmark_label, seed)
-    if cfg.method == "random-search":
-        trace = random_search_baseline(objective, n_init + cfg.n_iters, seed, n_init)
-    else:
-        try:
+    try:
+        if cfg.method == "random-search":
+            trace = random_search_baseline(objective, n_init + cfg.n_iters, seed, n_init)
+        else:
             trace = run(objective, _build_run_config(cfg, n_init, seed))
-        except EvaluationFailedError as exc:
-            # Persist what was observed before the failure, then re-raise.
-            write_trace_csv(exc.trace, out)
-            raise
+    except EvaluationFailedError as exc:
+        # Persist what was observed before the failure, then re-raise.
+        write_trace_csv(exc.trace, out)
+        raise
     write_trace_csv(trace, out)
     return out
 
@@ -244,9 +255,11 @@ def _run_one(cfg: ExperimentConfig, benchmark_label: str, n_init: int, seed: int
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run every seed, write one trace CSV each, then the summary CSV.
 
-    Returns the list of written paths (traces then summary).  Seeds run in
-    parallel worker processes when workers > 1; each worker writes only its
-    own trace file and the summary is produced after all complete.
+    Returns the list of written paths (traces then summary).  The benchmark
+    is resolved (a table parsed) once and shared by every seed: objectives
+    hold no state, their noise comes from each run's own stream.  Seeds run
+    in parallel worker processes when workers > 1; each worker writes only
+    its own trace file and the summary is produced after all complete.
     """
     objective = resolve_benchmark(cfg.benchmark, cfg.noise_sigma)
     benchmark_label = objective.name
@@ -257,13 +270,13 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     written = []
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_run_one, cfg, benchmark_label, n_init, s)
+            futures = [pool.submit(_run_one, cfg, objective, benchmark_label, n_init, s)
                        for s in cfg.seeds]
             for fut in futures:
                 written.append(fut.result())
     else:
         for seed in cfg.seeds:
-            written.append(_run_one(cfg, benchmark_label, n_init, seed))
+            written.append(_run_one(cfg, objective, benchmark_label, n_init, seed))
 
     summary = summarize_traces(written, summary_path(cfg.out_dir, cfg.method,
                                                      benchmark_label))

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 
@@ -35,7 +35,48 @@ __all__ = [
     "correct_ranking_probability",
     "log_factorials",
     "log_partial_exp_sum",
+    "log_partial_exp_sum_pair",
+    "logsumexp",
 ]
+
+
+def logsumexp(a, axis: int = -1):
+    """log(sum(exp(a))) along one axis, bitwise equal to scipy.special.logsumexp.
+
+    Step for step the algorithm scipy uses on real input without weights:
+    the maximum is split off, log1p(s / m) + log(m) + max is returned, with s
+    the sum of the remaining shifted exponentials and m the number of entries
+    tied at the maximum, and wherever that result is not finite (all entries
+    -inf, or a +inf entry) the direct log(sum(exp(a))) replaces it.  The same
+    elementwise operations and the same contiguous reductions in the same
+    order give the same bits; skipping scipy's array-API dispatch makes it
+    several times faster on the tiny arrays the surrogate and acquisition use.
+
+    Args:
+        a: array_like of reals; a 1-d input reduces to a numpy scalar.
+        axis: the axis to reduce.
+
+    Returns:
+        The reduced array (or scalar).
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = is_max.sum(axis=axis, keepdims=True, dtype=float)
+        rest = a.copy()
+        np.putmask(rest, is_max, -np.inf)
+        rest -= a_max
+        np.exp(rest, out=rest)
+        # scipy keeps s where s == 0; s / m is that same 0 there.
+        out = np.log1p(rest.sum(axis=axis, keepdims=True) / m)
+        out += np.log(m)
+        out += a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    out = out.squeeze(axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def log_factorials(max_k: int) -> np.ndarray:
@@ -49,9 +90,17 @@ def log_factorials(max_k: int) -> np.ndarray:
     """
     if max_k < 0:
         raise DomainError(f"max_k must be >= 0, got {max_k}")
+    return _log_factorial_table(int(max_k))
+
+
+@lru_cache(maxsize=256)
+def _log_factorial_table(max_k: int) -> np.ndarray:
+    # Shared between callers, hence read-only.  np.cumsum accumulates in
+    # order, so every table is a prefix of any longer one.
     table = np.zeros(max_k + 1)
     if max_k >= 1:
         table[1:] = np.cumsum(np.log(np.arange(1, max_k + 1, dtype=float)))
+    table.flags.writeable = False
     return table
 
 
@@ -74,16 +123,32 @@ def log_partial_exp_sum(rate, m: int):
     rates = np.atleast_1d(rates)
     if m < 0:
         out = np.full(rates.shape, -np.inf)
-        return float(out[0]) if scalar else out
+    else:
+        out = logsumexp(_partial_sum_terms(rates, m), axis=-1)
+    return float(out[0]) if scalar else out
+
+
+def log_partial_exp_sum_pair(rates: np.ndarray, m: int):
+    """(log S(m), log S(m - 1)) for an array of rates, from one term matrix.
+
+    Each equals the corresponding log_partial_exp_sum bitwise: the terms of
+    S(m - 1) are the first m columns of those of S(m).
+    """
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    terms = _partial_sum_terms(np.atleast_1d(np.asarray(rates, dtype=float)), m)
+    return logsumexp(terms, axis=-1), logsumexp(terms[..., :-1], axis=-1)
+
+
+def _partial_sum_terms(rates: np.ndarray, m: int) -> np.ndarray:
+    """(..., m + 1) matrix of log(rate^i / i!), i = 0..m."""
     ks = np.arange(m + 1, dtype=float)
     lf = log_factorials(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_r = np.log(rates)
-        terms = ks * log_r[..., None] - lf
+        terms = ks * np.log(rates)[..., None] - lf
     # k = 0 contributes rate^0/0! = 1 exactly; overwrite the 0 * log(0) = nan slot.
     terms[..., 0] = 0.0
-    out = logsumexp(terms, axis=-1)
-    return float(out[0]) if scalar else out
+    return terms
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .poisson import (
     TruncatedPoisson,
     log_factorials,
     log_partial_exp_sum,
+    log_partial_exp_sum_pair,
     pmf_vector,
     truncated_mean,
 )
@@ -79,7 +80,8 @@ def compute_ranks(values) -> np.ndarray:
         raise InputError("values must be a non-empty 1-d sequence")
     if not np.isfinite(v).all():
         raise InputError("values contain non-finite entries")
-    return (v[:, None] > v[None, :]).sum(axis=1).astype(np.int64)
+    # Leftmost insertion point in the sorted values = count strictly below.
+    return np.searchsorted(np.sort(v), v, side="left").astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -167,11 +169,34 @@ class IntensityModel:
 
     weights[l] has shape (fan_in, fan_out); biases[l] has shape (fan_out,).
     The output is a single positive scalar rate per input point.
+
+    All parameters live in one flat float64 buffer, ``params``, in
+    pack_arrays order (every weight matrix row-major, then every bias);
+    weights and biases are lists of views into it, so training updates the
+    whole network with one vector operation.  The constructor copies the
+    given arrays into a fresh buffer.
     """
 
     weights: list
     biases: list
     rng_seed: int = 0
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.params = pack_arrays(self.weights, self.biases)
+        self.weights, self.biases = self._views(self.params)
+
+    def _views(self, flat: np.ndarray):
+        """Per-layer (weights, biases) views into a flat buffer shaped like params."""
+        weights, biases = [], []
+        offset = 0
+        for w in self.weights:
+            weights.append(flat[offset:offset + w.size].reshape(w.shape))
+            offset += w.size
+        for b in self.biases:
+            biases.append(flat[offset:offset + b.size])
+            offset += b.size
+        return weights, biases
 
     @classmethod
     def create(cls, dim: int, hidden=DEFAULT_HIDDEN, rng_seed: int = 0) -> "IntensityModel":
@@ -196,8 +221,7 @@ class IntensityModel:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def copy(self) -> "IntensityModel":
-        return IntensityModel([w.copy() for w in self.weights],
-                              [b.copy() for b in self.biases], self.rng_seed)
+        return IntensityModel(self.weights, self.biases, self.rng_seed)
 
     def _forward(self, x: np.ndarray):
         """Batched forward pass; returns (rates, caches) for backprop."""
@@ -223,30 +247,27 @@ class IntensityModel:
             raise InputError("non-finite inputs")
         return self._forward(x)[0]
 
-    def _backward(self, caches, d_rates: np.ndarray):
+    def _backward(self, caches, d_rates: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Parameter gradients of sum_j d_rates[j] * rate_j.
 
         Args:
             caches: the second element returned by _forward.
             d_rates: (n,) upstream derivative with respect to each rate.
-
-        Returns:
-            (grad_weights, grad_biases) matching the parameter shapes.
+            grad: flat buffer shaped like params; overwritten and returned.
         """
         inputs, pre_acts, z = caches
-        grad_w = [None] * len(self.weights)
-        grad_b = [None] * len(self.biases)
+        grad_w, grad_b = self._views(grad)
         delta = (d_rates * expit(z))[:, None]
-        grad_w[-1] = inputs[-1].T @ delta
-        grad_b[-1] = delta.sum(axis=0)
+        np.matmul(inputs[-1].T, delta, out=grad_w[-1])
+        delta.sum(axis=0, out=grad_b[-1])
         downstream = delta @ self.weights[-1].T
         for layer in range(len(self.weights) - 2, -1, -1):
             delta = downstream * (pre_acts[layer] > 0.0)
-            grad_w[layer] = inputs[layer].T @ delta
-            grad_b[layer] = delta.sum(axis=0)
+            np.matmul(inputs[layer].T, delta, out=grad_w[layer])
+            delta.sum(axis=0, out=grad_b[layer])
             if layer > 0:
                 downstream = delta @ self.weights[layer].T
-        return grad_w, grad_b
+        return grad
 
     def rate_and_input_grad(self, x):
         """Rate at a single point and its gradient with respect to x.
@@ -267,21 +288,25 @@ class IntensityModel:
         return float(rates[0]), v
 
 
-def _ll_terms(rates: np.ndarray, ranks: np.ndarray, n_full: int, switch: int) -> np.ndarray:
-    """Per-point log-likelihood terms k*log(rate) - log(k!) - normalizer.
-
-    The normalizer is log S(n_full - 1) below the switch and the plain
-    Poisson exponent (the rate itself) at or above it.
-    """
+def _ll_terms(rates: np.ndarray, ranks: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Per-point log-likelihood terms k*log(rate) - log(k!) - norm."""
     lf = log_factorials(int(ranks.max()))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_r = np.log(rates)
         k_term = np.where(ranks > 0, ranks * log_r, 0.0)
-    if n_full >= switch:
-        norm = rates
-    else:
-        norm = log_partial_exp_sum(rates, n_full - 1)
     return k_term - lf[ranks] - norm
+
+
+def _normalizer(rates: np.ndarray, n_obs: int, switch: int):
+    """Per-point log-normalizer and its derivative with respect to the rate.
+
+    Below the switch these are log S(N-1) and S(N-2)/S(N-1), from one term
+    matrix; at or above it the plain Poisson exponent (the rate itself) and 1.
+    """
+    if n_obs >= switch:
+        return rates, np.ones_like(rates)
+    log_s1, log_s2 = log_partial_exp_sum_pair(rates, n_obs - 1)
+    return log_s1, np.exp(log_s2 - log_s1)
 
 
 def rate_gradient(rates: np.ndarray, ranks: np.ndarray, n_obs: int,
@@ -291,13 +316,7 @@ def rate_gradient(rates: np.ndarray, ranks: np.ndarray, n_obs: int,
     Equals k/rate - S(N-2)/S(N-1) below the switch and k/rate - 1 above it.
     """
     rates = np.asarray(rates, dtype=float)
-    ranks = np.asarray(ranks)
-    if n_obs >= truncation_switch_n:
-        norm_grad = np.ones_like(rates)
-    else:
-        norm_grad = np.exp(log_partial_exp_sum(rates, n_obs - 2)
-                           - log_partial_exp_sum(rates, n_obs - 1))
-    return ranks / rates - norm_grad
+    return np.asarray(ranks) / rates - _normalizer(rates, n_obs, truncation_switch_n)[1]
 
 
 def _require_fittable(obs: ObservationSet):
@@ -314,7 +333,9 @@ def log_likelihood(model: IntensityModel, obs: ObservationSet,
     """
     _require_fittable(obs)
     rates = model.rates(obs.points)
-    return float(np.sum(_ll_terms(rates, obs.ranks, len(obs), truncation_switch_n)))
+    n = len(obs)
+    norm = rates if n >= truncation_switch_n else log_partial_exp_sum(rates, n - 1)
+    return float(np.sum(_ll_terms(rates, obs.ranks, norm)))
 
 
 def grad_log_likelihood(model: IntensityModel, obs: ObservationSet,
@@ -327,7 +348,7 @@ def grad_log_likelihood(model: IntensityModel, obs: ObservationSet,
     _require_fittable(obs)
     rates, caches = model._forward(obs.points)
     d_rates = rate_gradient(rates, obs.ranks, len(obs), truncation_switch_n)
-    return model._backward(caches, d_rates)
+    return model._views(model._backward(caches, d_rates, np.empty_like(model.params)))
 
 
 def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
@@ -361,12 +382,8 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
     switch = cfg.truncation_switch_n
 
     nll_start = -log_likelihood(model, obs, switch)
-    start_w = [w.copy() for w in model.weights]
-    start_b = [b.copy() for b in model.biases]
-
-    params = model.weights + model.biases
-    m1 = [np.zeros_like(p) for p in params]
-    m2 = [np.zeros_like(p) for p in params]
+    start = model.params.copy()
+    adam = _Adam(model.params)
 
     perm = np.empty(0, dtype=np.int64)
     pos = 0
@@ -378,32 +395,58 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
         pos += batch
 
         rates, caches = model._forward(obs.points[idx])
-        terms = _ll_terms(rates, obs.ranks[idx], n, switch)
-        loss = -float(terms.mean())
+        ranks = obs.ranks[idx]
+        norm, norm_grad = _normalizer(rates, n, switch)
+        loss = -float(_ll_terms(rates, ranks, norm).mean())
         if not math.isfinite(loss):
             raise TrainingDivergedError(step)
-        d_rates = rate_gradient(rates, obs.ranks[idx], n, switch)
-        grad_w, grad_b = model._backward(caches, -d_rates / idx.size)
-
-        lr = cfg.initial_lr * cfg.lr_decay ** (step // cfg.decay_every)
-        t = step + 1
-        bias1 = 1.0 - _ADAM_BETA1 ** t
-        bias2 = 1.0 - _ADAM_BETA2 ** t
-        for p, g, m, v in zip(params, grad_w + grad_b, m1, m2):
-            m *= _ADAM_BETA1
-            m += (1.0 - _ADAM_BETA1) * g
-            v *= _ADAM_BETA2
-            v += (1.0 - _ADAM_BETA2) * np.square(g)
-            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
+        d_rates = ranks / rates - norm_grad
+        model._backward(caches, -d_rates / idx.size, adam.grad)
+        adam.step(cfg.initial_lr * cfg.lr_decay ** (step // cfg.decay_every), step + 1)
 
     nll_end = -log_likelihood(model, obs, switch)
     if not (nll_end <= nll_start):
         # ADAM overshot (or broke) on this set; keep the no-worse parameters.
-        for w, w0 in zip(model.weights, start_w):
-            w[...] = w0
-        for b, b0 in zip(model.biases, start_b):
-            b[...] = b0
+        model.params[...] = start
     return model
+
+
+class _Adam:
+    """ADAM on one flat parameter vector, updated in place without temporaries.
+
+    Each step performs the textbook per-element sequence
+    m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2;
+    p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+    with the operations in that order, element by element the same
+    arithmetic as updating each layer's arrays separately, so flat and
+    per-layer training agree bitwise.
+    """
+
+    def __init__(self, params: np.ndarray):
+        self.params = params
+        self.grad = np.empty_like(params)
+        self.m1 = np.zeros_like(params)
+        self.m2 = np.zeros_like(params)
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
+
+    def step(self, lr: float, t: int):
+        """Apply one update from self.grad at step count t >= 1."""
+        g, m, v, num, den = self.grad, self.m1, self.m2, self._num, self._den
+        m *= _ADAM_BETA1
+        np.multiply(g, 1.0 - _ADAM_BETA1, out=num)
+        m += num
+        v *= _ADAM_BETA2
+        np.square(g, out=num)
+        num *= 1.0 - _ADAM_BETA2
+        v += num
+        np.divide(m, 1.0 - _ADAM_BETA1 ** t, out=num)
+        num *= lr
+        np.divide(v, 1.0 - _ADAM_BETA2 ** t, out=den)
+        np.sqrt(den, out=den)
+        den += _ADAM_EPS
+        num /= den
+        self.params -= num
 
 
 def predict(model: IntensityModel, x, n_obs: int, use_truncated: bool | None = None,
@@ -445,26 +488,20 @@ def predict(model: IntensityModel, x, n_obs: int, use_truncated: bool | None = N
 def pack_arrays(weights, biases) -> np.ndarray:
     """Flatten per-layer arrays (weights row-major, then biases) to one vector."""
     parts = [w.ravel() for w in weights] + [b.ravel() for b in biases]
-    return np.concatenate(parts)
+    return np.concatenate(parts, dtype=float)
 
 
 def pack_parameters(model: IntensityModel) -> np.ndarray:
-    return pack_arrays(model.weights, model.biases)
+    """Copy of the model's flat parameter buffer."""
+    return model.params.copy()
 
 
 def set_parameters(model: IntensityModel, flat: np.ndarray):
     """Write a packed vector back into the model in place."""
     flat = np.asarray(flat, dtype=float)
-    expected = sum(w.size for w in model.weights) + sum(b.size for b in model.biases)
-    if flat.size != expected:
-        raise InputError(f"parameter vector length {flat.size}, expected {expected}")
-    offset = 0
-    for w in model.weights:
-        w[...] = flat[offset:offset + w.size].reshape(w.shape)
-        offset += w.size
-    for b in model.biases:
-        b[...] = flat[offset:offset + b.size]
-        offset += b.size
+    if flat.size != model.params.size:
+        raise InputError(f"parameter vector length {flat.size}, expected {model.params.size}")
+    model.params[...] = flat.reshape(-1)
 
 
 def model_to_blob(model: IntensityModel) -> str:

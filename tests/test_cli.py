@@ -30,6 +30,13 @@ class TestUsageErrors:
     def test_malformed_seeds(self, tmp_path):
         assert run_cli(tmp_path, "--seeds", "a,b") == 2
 
+    def test_noise_on_table_rejected(self, tmp_path, capsys):
+        table = tmp_path / "grid.csv"
+        table.write_text("a,value\n1,0.5\n2,0.25\n", encoding="utf-8")
+        assert main(["--benchmark", str(table), "--method", "random-search",
+                     "--noise-sigma", "0.5", "--out", str(tmp_path)]) == 2
+        assert "noise" in capsys.readouterr().err
+
     def test_unreadable_config_file(self, tmp_path):
         assert run_cli(tmp_path, "--config", str(tmp_path / "absent.ini")) == 1
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from popbo.benchmarks import get_benchmark
+from popbo.benchmarks import TabularBenchmark, get_benchmark
 from popbo.engine import BoRunConfig, run
-from popbo.errors import DomainError, InputError, PreconditionError
+from popbo.errors import DomainError, EvaluationFailedError, InputError, PreconditionError
 from popbo.harness import (
     METHODS,
     ExperimentConfig,
@@ -57,6 +57,12 @@ class TestResolveBenchmark:
         with pytest.raises(DomainError):
             resolve_benchmark("no-such-benchmark")
 
+    def test_noise_on_table_rejected(self, tmp_path):
+        p = tmp_path / "grid.csv"
+        p.write_text("a,value\n1,0.5\n2,0.25\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="noise"):
+            resolve_benchmark(str(p), noise_sigma=0.5)
+
     def test_default_init_sizes(self):
         assert default_n_init("rosenbrock6") == 30
         assert default_n_init("branin") == 12
@@ -93,6 +99,40 @@ class TestRandomSearchBaseline:
                                     surrogate=TrainConfig(steps=5), hidden=(8,)))
         np.testing.assert_array_equal(rs.points[:4], bo.points)
         np.testing.assert_array_equal(rs.values[:4], bo.values)
+
+    class NanOnThird:
+        """Branin that returns NaN on its third evaluation."""
+
+        def __init__(self):
+            self.base = get_benchmark("branin")
+            self.name, self.space, self.optimum = "nan", self.base.space, self.base.optimum
+            self.trace_point = self.base.trace_point
+            self.calls = 0
+
+        def evaluate(self, x, rng=None):
+            self.calls += 1
+            return math.nan if self.calls == 3 else self.base.evaluate(x, rng)
+
+    @pytest.mark.parametrize("n_init", [4, 2])
+    def test_nan_observation_raises_with_partial_trace(self, n_init):
+        with pytest.raises(EvaluationFailedError) as info:
+            random_search_baseline(self.NanOnThird(), budget=6, seed=0, n_init=n_init)
+        assert len(info.value.trace) == 2
+        assert all(math.isfinite(r.value) for r in info.value.trace.records)
+
+    def test_evaluation_exception_is_typed(self):
+        bench = get_benchmark("branin")
+
+        class Broken:
+            name, space, optimum, trace_point = "broken", bench.space, None, bench.trace_point
+
+            def evaluate(self, x, rng=None):
+                raise RuntimeError("sensor offline")
+
+        with pytest.raises(EvaluationFailedError) as info:
+            random_search_baseline(Broken(), budget=3, seed=0)
+        assert len(info.value.trace) == 0
+        assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_incumbent_monotone(self):
         trace = random_search_baseline(get_benchmark("branin"), budget=30, seed=1)
@@ -219,6 +259,23 @@ class TestRunExperiment:
         written = run_experiment(cfg)
         _, rows = read_trace_csv(written[0])
         assert len(rows) == 4
+
+    def test_table_parsed_once_per_experiment(self, tmp_path, monkeypatch):
+        table = tmp_path / "grid.csv"
+        table.write_text("a,value\n1,0.5\n2,0.25\n3,0.75\n", encoding="utf-8")
+        calls = []
+        original = TabularBenchmark.from_csv.__func__
+
+        def counting(cls, path):
+            calls.append(path)
+            return original(cls, path)
+
+        monkeypatch.setattr(TabularBenchmark, "from_csv", classmethod(counting))
+        cfg = ExperimentConfig(benchmark=str(table), method="random-search",
+                               seeds=(0, 1, 2), n_init=2, n_iters=1,
+                               out_dir=str(tmp_path / "out"))
+        assert len(run_experiment(cfg)) == 4
+        assert len(calls) == 1
 
     def test_tabular_benchmark_end_to_end(self, tmp_path):
         table = tmp_path / "grid.csv"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from popbo.errors import DomainError
 from popbo.poisson import (
@@ -12,6 +13,8 @@ from popbo.poisson import (
     correct_ranking_probability,
     log_factorials,
     log_partial_exp_sum,
+    log_partial_exp_sum_pair,
+    logsumexp,
     pmf,
     pmf_vector,
     truncated_mean,
@@ -38,6 +41,23 @@ class TestLogHelpers:
     def test_log_factorials_negative_raises(self):
         with pytest.raises(DomainError):
             log_factorials(-1)
+
+    def test_log_factorials_cached_read_only(self):
+        table = log_factorials(9)
+        assert log_factorials(9) is table
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        # Shorter tables are exact prefixes of longer ones.
+        np.testing.assert_array_equal(log_factorials(4), table[:5])
+
+    def test_partial_sum_pair_matches_single_sums_bitwise(self):
+        rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
+        for m in range(1, 14):
+            log_s, log_s_prev = log_partial_exp_sum_pair(rates, m)
+            np.testing.assert_array_equal(log_s, log_partial_exp_sum(rates, m))
+            np.testing.assert_array_equal(log_s_prev, log_partial_exp_sum(rates, m - 1))
+        with pytest.raises(DomainError):
+            log_partial_exp_sum_pair(rates, 0)
 
     def test_partial_sum_matches_direct(self):
         for rate in (0.3, 1.0, 4.5):
@@ -202,3 +222,40 @@ class TestRankPosterior:
     def test_rejects_wrong_stddev(self):
         with pytest.raises(DomainError):
             RankPosterior(pmf=np.array([0.5, 0.5]), mean=0.5, stddev=0.5)
+
+
+def logsumexp_corpus(seed=0, count=4000):
+    """Seeded 1-d and 2-d arrays with ties, -inf entries and all--inf rows."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        shape = (int(rng.integers(1, 20)),) if i % 2 else \
+            (int(rng.integers(1, 6)), int(rng.integers(1, 15)))
+        a = rng.normal(scale=rng.choice([1e-3, 1.0, 30.0, 800.0]), size=shape)
+        if rng.uniform() < 0.3:
+            a = np.round(a)  # ties at the maximum
+        if rng.uniform() < 0.3:
+            a[rng.uniform(size=shape) < 0.3] = -np.inf
+        if a.ndim == 2 and rng.uniform() < 0.2:
+            a[0] = -np.inf  # one all--inf row
+        if rng.uniform() < 0.05:
+            a[...] = -np.inf
+        yield a
+
+
+class TestLogsumexp:
+    def test_bitwise_equal_to_scipy(self):
+        for a in logsumexp_corpus():
+            ours, ref = logsumexp(a, axis=-1), scipy_logsumexp(a, axis=-1)
+            assert type(ours) is type(ref)
+            assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes(), a
+
+    def test_list_input_reduces_to_scalar(self):
+        terms = [0.5, -1.0, 2.0]
+        assert logsumexp(terms) == scipy_logsumexp(terms)
+        assert math.isclose(logsumexp(terms), math.log(sum(math.exp(t) for t in terms)),
+                            rel_tol=1e-15)
+
+    def test_edge_values(self):
+        assert logsumexp([-np.inf, -np.inf]) == -np.inf
+        assert logsumexp([np.inf, 0.0]) == np.inf
+        assert logsumexp([3.0, 3.0]) == 3.0 + math.log(2.0)

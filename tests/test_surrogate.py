@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from popbo.errors import (
     DomainError,
@@ -61,6 +63,14 @@ class TestComputeRanks:
             compute_ranks([])
         with pytest.raises(InputError):
             compute_ranks([1.0, math.nan])
+
+    @given(st.lists(st.integers(-5, 5).map(float) | st.floats(-1e6, 1e6),
+                    min_size=1, max_size=40))
+    def test_matches_strict_dominance_definition(self, values):
+        expected = [sum(other < v for other in values) for v in values]
+        ranks = compute_ranks(values)
+        assert ranks.dtype == np.int64
+        np.testing.assert_array_equal(ranks, expected)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -168,6 +178,16 @@ class TestNetwork:
         clone = model.copy()
         clone.weights[0][...] = 0.0
         assert model.weights[0].any()
+
+    def test_layers_are_views_of_one_flat_buffer(self):
+        model = IntensityModel.create(3, hidden=(4, 5), rng_seed=2)
+        for part in model.weights + model.biases:
+            assert np.shares_memory(part, model.params)
+        np.testing.assert_array_equal(
+            model.params,
+            np.concatenate([w.ravel() for w in model.weights] + list(model.biases)))
+        model.params[...] = 0.5
+        assert all((part == 0.5).all() for part in model.weights + model.biases)
 
 
 class TestLogLikelihood:
