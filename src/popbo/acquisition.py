@@ -7,11 +7,12 @@ Two acquisitions are defined on a candidate's predicted rate:
   the candidate's rank beats the worst tolerable rank; maximizing it is
   implemented as minimizing its negation.
 
-Both are rectified: wherever the predicted rate reaches q * n_obs the
-acquisition value is replaced by a uniform draw eps in [0, 1], and descent
-iterates entering that region are frozen in place.  The continuous-space
-proposer is a multistart projected L-BFGS on the unit cube; discrete spaces
-take an argmin over uniformly sampled candidates.
+objective_and_drate is the one implementation of both and of their rate
+derivatives.  Both are rectified: wherever the predicted rate reaches
+q * n_obs the acquisition value is replaced by a uniform draw eps in [0, 1],
+and descent iterates entering that region are frozen in place.  The
+continuous-space proposer is a multistart projected L-BFGS on the unit cube;
+discrete spaces take an argmin over uniformly sampled candidates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, RectifiedRegionError
-from .poisson import log_factorials, log_partial_exp_sum, log_partial_exp_sum_pair, logsumexp
+# Unused but bound: perfbench/tracer.py patches log_factorials, log_partial_exp_sum, logsumexp.
+from .poisson import (log_factorials, log_partial_exp_sum, log_partial_exp_sums, logsumexp,
+                      partial_sum_log_terms)
 from .space import ContinuousSpace, DiscreteSpace
 from .surrogate import TRUNCATION_SWITCH_N, IntensityModel, ObservationSet
 
@@ -75,102 +78,66 @@ class AcquisitionConfig:
             raise DomainError("restarts and discrete_samples must be >= 1")
 
 
-def _truncated_means(rates: np.ndarray, max_rank: int) -> np.ndarray:
-    if max_rank == 0:
-        return np.zeros_like(rates)
-    log_den, log_num = log_partial_exp_sum_pair(rates, max_rank)
-    return rates * np.exp(log_num - log_den)
+def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig,
+                        switch: int = TRUNCATION_SWITCH_N, drate: bool = True):
+    """Minimization objective per rate (1-d array), and its rate derivative.
 
+    The rank pmf is p_j = r^j / j! / Z on {0..n_obs}: Z = S(n_obs) below the
+    switch, exp(r) (plain Poisson) at or above it.  r-lcb is
+    sqrt(mu) * (sqrt(mu) - beta) with mu = r S(n_obs-1) / S(n_obs) or r, and
+    slope (1 - beta / (2 sqrt(mu))) * dmu/dr (0 where mu = 0).  eri is -ERI,
+    ERI = F_0 + ... + F_{k_max-1} with F_j = p_0 + ... + p_j; as
+    dp_j/dr = p_{j-1} - rho p_j with rho = d log Z / dr (1 plain,
+    1 - p_{n_obs} truncated), dERI/dr = (1 - rho) * ERI - F_{k_max-1}.
+    Each p_j is one exp of a log-space term, so every finite rate >= 0
+    gives finite results.  k_max <= n_obs; rectification is the caller's.
 
-def _lcb_values(rates: np.ndarray, n_obs: int, beta: float, switch: int) -> np.ndarray:
-    mu = rates if n_obs >= switch else _truncated_means(rates, n_obs)
-    root = np.sqrt(mu)
-    return root * (root - beta)
-
-
-def _eri_values(rates: np.ndarray, n_obs: int, k_max: int, switch: int) -> np.ndarray:
-    """Expected ranking improvement for each rate; support {0..n_obs}."""
-    if k_max == 0:
-        return np.zeros_like(rates)
-    ks = np.arange(k_max + 1, dtype=float)
-    log_coeff = np.full(k_max + 1, -np.inf)
-    log_coeff[:-1] = np.log(k_max - ks[:-1])
-    lf = log_factorials(k_max)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_r = np.log(rates)
-        terms = log_coeff + ks * log_r[..., None] - lf
-    terms[..., 0] = log_coeff[0]
-    log_u = logsumexp(terms, axis=-1)
-    if n_obs >= switch:
-        out = np.exp(log_u - rates)
-    else:
-        out = np.exp(log_u - log_partial_exp_sum(rates, n_obs))
-    return np.where(rates == 0.0, float(k_max), out)
-
-
-def _objective_values(rates: np.ndarray, cfg: AcquisitionConfig, n_obs: int,
-                      switch: int) -> np.ndarray:
-    """Minimization objective per rate, without the rectification override."""
+    Returns:
+        (values, slopes), slopes None unless drate.
+    """
+    rates = np.asarray(rates, dtype=float)
+    plain = n_obs >= switch
     if cfg.kind == "r-lcb":
-        return _lcb_values(rates, n_obs, cfg.beta, switch)
-    return -_eri_values(rates, n_obs, cfg.k_max, switch)
+        mu, dmu = rates, 1.0
+        if not plain:
+            log_s = log_partial_exp_sums(partial_sum_log_terms(rates, n_obs), 3 if drate else 2)
+            ratio = np.exp(log_s[1] - log_s[0])
+            mu = rates * ratio
+            if drate:  # S'(m) = S(m-1)
+                dmu = ratio + rates * (np.exp(log_s[2] - log_s[0]) - ratio * ratio)
+        root = np.sqrt(mu)
+        values = root * (root - cfg.beta)
+        if not drate:
+            return values, None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return values, np.where(mu > 0.0, (1.0 - cfg.beta / (2.0 * root)) * dmu, 0.0)
 
-
-def _dmean_drate(rate: float, max_rank: int) -> float:
-    """Derivative of the truncated mean, using S'(m) = S(m-1)."""
-    if max_rank == 0:
-        return 0.0
-    a = log_partial_exp_sum(rate, max_rank - 1)
-    b = log_partial_exp_sum(rate, max_rank)
-    c = log_partial_exp_sum(rate, max_rank - 2)
-    return math.exp(a - b) + rate * (math.exp(c - b) - math.exp(2.0 * (a - b)))
-
-
-def _dlcb_drate(rate: float, n_obs: int, beta: float, switch: int) -> float:
-    if n_obs >= switch:
-        mu, dmu = rate, 1.0
-    else:
-        mu = float(_truncated_means(np.asarray([rate]), n_obs)[0])
-        dmu = _dmean_drate(rate, n_obs)
-    if mu == 0.0:
-        return 0.0
-    return (1.0 - beta / (2.0 * math.sqrt(mu))) * dmu
-
-
-def _deri_drate(rate: float, n_obs: int, k_max: int, switch: int) -> float:
-    if k_max == 0:
-        return 0.0
-    if rate == 0.0:
-        # U'(0) - U(0) in both regimes: (k_max - 1) - k_max.
-        return -1.0
-    log_r = math.log(rate)
-    lf = log_factorials(k_max)
-    u_terms = [math.log(k_max - k) + k * log_r - lf[k] for k in range(k_max)]
-    log_u = logsumexp(u_terms)
-    du_terms = [math.log(k_max - k) + (k - 1) * log_r - lf[k - 1]
-                for k in range(1, k_max)]
-    log_du = logsumexp(du_terms) if du_terms else -np.inf
-    if n_obs >= switch:
-        return math.exp(log_du - rate) - math.exp(log_u - rate)
-    a = log_partial_exp_sum(rate, n_obs - 1)
-    b = log_partial_exp_sum(rate, n_obs)
-    return math.exp(log_du - b) - math.exp(log_u + a - 2.0 * b)
-
-
-def _dobjective_drate(rate: float, cfg: AcquisitionConfig, n_obs: int,
-                      switch: int) -> float:
-    if cfg.kind == "r-lcb":
-        return _dlcb_drate(rate, n_obs, cfg.beta, switch)
-    return -_deri_drate(rate, n_obs, cfg.k_max, switch)
+    if cfg.k_max == 0:
+        zeros = np.zeros_like(rates)
+        return zeros, zeros if drate else None
+    terms = partial_sum_log_terms(rates, cfg.k_max - 1 if plain else n_obs)
+    log_z = rates if plain else log_partial_exp_sums(terms, 1)[0]
+    pmf = np.exp(terms - log_z[..., None])
+    cdf = np.add.accumulate(pmf[..., :cfg.k_max], axis=-1)
+    eri_values = cdf.sum(axis=-1)
+    if not drate:
+        return -eri_values, None
+    slopes = cdf[..., -1] if plain else cdf[..., -1] - pmf[..., -1] * eri_values
+    return -eri_values, slopes
 
 
 def lcb(rate: float, n_obs: int, beta: float,
         truncation_switch_n: int = TRUNCATION_SWITCH_N) -> float:
     """Lower confidence bound sqrt(mu) * (sqrt(mu) - beta) on the expected rank."""
+    return _objective_at(rate, n_obs, AcquisitionConfig(kind="r-lcb", beta=beta),
+                         truncation_switch_n)
+
+
+def _objective_at(rate: float, n_obs: int, cfg: AcquisitionConfig, switch: int) -> float:
     if not (math.isfinite(rate) and rate >= 0):
         raise DomainError(f"rate must be finite and >= 0, got {rate!r}")
-    return float(_lcb_values(np.asarray([float(rate)]), n_obs, beta,
-                             truncation_switch_n)[0])
+    values, _ = objective_and_drate(np.array([float(rate)]), n_obs, cfg, switch, drate=False)
+    return float(values[0])
 
 
 def r_lcb(rate: float, n_obs: int, cfg: AcquisitionConfig, eps: float,
@@ -200,14 +167,10 @@ def eri(rate: float, n_obs: int, k_max: int,
     minimizes its negation.  k_max may not exceed n_obs: ranks beyond the
     support carry no mass, so such a call is a misconfiguration.
     """
-    if not (math.isfinite(rate) and rate >= 0):
-        raise DomainError(f"rate must be finite and >= 0, got {rate!r}")
-    if k_max < 0:
-        raise DomainError(f"k_max must be >= 0, got {k_max}")
     if k_max > n_obs:
         raise DomainError(f"k_max={k_max} exceeds n_obs={n_obs}")
-    return float(_eri_values(np.asarray([float(rate)]), n_obs, k_max,
-                             truncation_switch_n)[0])
+    return -_objective_at(rate, n_obs, AcquisitionConfig(kind="eri", k_max=k_max),
+                          truncation_switch_n)
 
 
 def grad_acquisition(model: IntensityModel, x, cfg: AcquisitionConfig, n_obs: int,
@@ -223,11 +186,18 @@ def grad_acquisition(model: IntensityModel, x, cfg: AcquisitionConfig, n_obs: in
         raise DomainError("x must lie in the unit hypercube")
     if cfg.kind == "eri" and cfg.k_max > n_obs:
         raise DomainError(f"k_max={cfg.k_max} exceeds n_obs={n_obs}")
-    rate, d_rate = model.rate_and_input_grad(x)
+    rate, grad = _rate_and_objective_grad(model, x, cfg, n_obs, truncation_switch_n)
     threshold = cfg.q * n_obs
     if rate >= threshold:
         raise RectifiedRegionError(rate, threshold)
-    return _dobjective_drate(rate, cfg, n_obs, truncation_switch_n) * d_rate
+    return grad
+
+
+def _rate_and_objective_grad(model: IntensityModel, x: np.ndarray, cfg: AcquisitionConfig,
+                             n_obs: int, switch: int):
+    rate, d_rate = model.rate_and_input_grad(x)
+    _, slopes = objective_and_drate(np.array([rate]), n_obs, cfg, switch)
+    return rate, slopes[0] * d_rate
 
 
 def _projected_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -264,12 +234,12 @@ def _descend(model: IntensityModel, x0: np.ndarray, cfg: AcquisitionConfig,
     """
 
     def obj(x):
-        rate = float(model.rates(x[None, :])[0])
-        return float(_objective_values(np.asarray([rate]), cfg, n_obs, switch)[0]), rate
+        rates = model.rates(x[None, :])
+        values, _ = objective_and_drate(rates, n_obs, cfg, switch, drate=False)
+        return float(values[0]), float(rates[0])
 
     def obj_grad(x):
-        rate, d_rate = model.rate_and_input_grad(x)
-        return _dobjective_drate(rate, cfg, n_obs, switch) * d_rate
+        return _rate_and_objective_grad(model, x, cfg, n_obs, switch)[1]
 
     x = np.clip(x0, 0.0, 1.0)
     f, rate = obj(x)
@@ -338,7 +308,7 @@ def _propose_discrete(model: IntensityModel, space: DiscreteSpace, obs_n: int,
     eps = rng.uniform(size=cfg.discrete_samples)
     pts = space.candidates[idx]
     rates = model.rates(pts)
-    raw = _objective_values(rates, cfg, obs_n, switch)
+    raw, _ = objective_and_drate(rates, obs_n, cfg, switch, drate=False)
     vals = np.where(rates < threshold, raw, eps)
     return pts[int(np.argmin(vals))].copy()
 

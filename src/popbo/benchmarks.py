@@ -201,14 +201,13 @@ class TabularBenchmark:
     Each coordinate column becomes one normalized dimension: its sorted
     distinct levels map to evenly spaced points in [0, 1] (a single level maps
     to 0).  Evaluating a listed configuration returns the stored value
-    bitwise; anything else is a domain error.
+    bitwise; anything else is a domain error.  A table has no noise model.
     """
 
     name: str
     column_names: list
     candidates: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    noise_sigma: float = 0.0
 
     def __post_init__(self):
         cand = np.asarray(self.candidates, dtype=float)

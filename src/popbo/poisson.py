@@ -36,6 +36,8 @@ __all__ = [
     "log_factorials",
     "log_partial_exp_sum",
     "log_partial_exp_sum_pair",
+    "log_partial_exp_sums",
+    "partial_sum_log_terms",
     "logsumexp",
 ]
 
@@ -124,7 +126,7 @@ def log_partial_exp_sum(rate, m: int):
     if m < 0:
         out = np.full(rates.shape, -np.inf)
     else:
-        out = logsumexp(_partial_sum_terms(rates, m), axis=-1)
+        out = logsumexp(partial_sum_log_terms(rates, m), axis=-1)
     return float(out[0]) if scalar else out
 
 
@@ -136,14 +138,33 @@ def log_partial_exp_sum_pair(rates: np.ndarray, m: int):
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    terms = _partial_sum_terms(np.atleast_1d(np.asarray(rates, dtype=float)), m)
-    return logsumexp(terms, axis=-1), logsumexp(terms[..., :-1], axis=-1)
+    terms = partial_sum_log_terms(np.atleast_1d(np.asarray(rates, dtype=float)), m)
+    return tuple(log_partial_exp_sums(terms, 2))
 
 
-def _partial_sum_terms(rates: np.ndarray, m: int) -> np.ndarray:
-    """(..., m + 1) matrix of log(rate^i / i!), i = 0..m."""
+def log_partial_exp_sums(terms: np.ndarray, count: int) -> list:
+    """[log S(m), ..., log S(m - count + 1)] from the term matrix of S(m).
+
+    The terms of S(m - i) are the first m + 1 - i columns of those of S(m),
+    so each equals the corresponding log_partial_exp_sum bitwise; log S(-1)
+    is -inf.
+    """
+    m = terms.shape[-1] - 1
+    return [logsumexp(terms[..., :m + 1 - i], axis=-1) if i <= m
+            else np.full(terms.shape[:-1], -np.inf) for i in range(count)]
+
+
+@lru_cache(maxsize=256)
+def _term_basis(m: int):
+    """(i, log i!) for i = 0..m, shared read-only."""
     ks = np.arange(m + 1, dtype=float)
-    lf = log_factorials(m)
+    ks.flags.writeable = False
+    return ks, log_factorials(m)
+
+
+def partial_sum_log_terms(rates: np.ndarray, m: int) -> np.ndarray:
+    """(..., m + 1) matrix of log(rate^i / i!), i = 0..m, for an array of rates."""
+    ks, lf = _term_basis(m)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = ks * np.log(rates)[..., None] - lf
     # k = 0 contributes rate^0/0! = 1 exactly; overwrite the 0 * log(0) = nan slot.

@@ -17,6 +17,7 @@ input-gradient path is reused by the acquisition optimizer.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,8 @@ from .poisson import (
     pmf_vector,
     truncated_mean,
 )
+
+_LOG = logging.getLogger(__name__)
 
 __all__ = [
     "TRUNCATION_SWITCH_N",
@@ -360,7 +363,8 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
     The learning rate is initial_lr * lr_decay ** (step // decay_every).  If
     the final full-set negative log-likelihood exceeds the starting one, the
     initial parameters are restored, so the contract "final NLL <= initial"
-    always holds.
+    always holds; the restore is logged at DEBUG level on this module's
+    logger with both NLLs.
 
     Args:
         model: network to train; mutated in place and returned.
@@ -408,6 +412,8 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
     if not (nll_end <= nll_start):
         # ADAM overshot (or broke) on this set; keep the no-worse parameters.
         model.params[...] = start
+        _LOG.debug("fit restored its start parameters: NLL %r at start, %r at end",
+                   nll_start, nll_end)
     return model
 
 

@@ -4,18 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popbo.acquisition import (
     AcquisitionConfig,
-    _deri_drate,
-    _dlcb_drate,
     eri,
     grad_acquisition,
     lcb,
+    objective_and_drate,
     propose_next,
     r_lcb,
 )
 from popbo.errors import DomainError, PreconditionError, RectifiedRegionError
+from popbo.poisson import (
+    TruncatedPoisson,
+    log_factorials,
+    log_partial_exp_sum,
+    logsumexp,
+    truncated_mean,
+)
 from popbo.space import ContinuousSpace, DiscreteSpace
 from popbo.surrogate import IntensityModel, ObservationSet
 
@@ -35,6 +43,12 @@ def increasing_rate_model():
     model.weights[0][...] = 4.0
     model.biases[0][...] = 0.0
     return model
+
+
+def slope(kind, rate, n_obs, switch=12, **cfg):
+    """d objective / d rate at one rate (the objective is -ERI for eri)."""
+    acq = AcquisitionConfig(kind=kind, **cfg)
+    return float(objective_and_drate(np.array([rate]), n_obs, acq, switch)[1][0])
 
 
 def random_obs(rng, n, dim):
@@ -154,17 +168,131 @@ class TestScalarDerivatives:
     def test_lcb_derivative_matches_fd(self, rate, n_obs):
         h = 1e-6
         fd = (lcb(rate + h, n_obs, 1.0) - lcb(rate - h, n_obs, 1.0)) / (2.0 * h)
-        assert abs(_dlcb_drate(rate, n_obs, 1.0, 12) - fd) <= 1e-6 * max(1.0, abs(fd))
+        assert abs(slope("r-lcb", rate, n_obs, beta=1.0) - fd) <= 1e-6 * max(1.0, abs(fd))
 
     @pytest.mark.parametrize("n_obs", [6, 30])
     @pytest.mark.parametrize("rate", [0.3, 1.0, 4.0])
     def test_eri_derivative_matches_fd(self, rate, n_obs):
         h = 1e-6
         fd = (eri(rate + h, n_obs, 5) - eri(rate - h, n_obs, 5)) / (2.0 * h)
-        assert abs(_deri_drate(rate, n_obs, 5, 12) - fd) <= 1e-6 * max(1.0, abs(fd))
+        assert abs(-slope("eri", rate, n_obs, k_max=5) - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_eri_derivative_at_zero_rate(self):
-        assert _deri_drate(0.0, n_obs=10, k_max=5, switch=12) == -1.0
+        assert -slope("eri", 0.0, n_obs=10, k_max=5) == -1.0
+
+
+# Log-space reference formulas: the scalar implementations the closed form
+# replaced, kept verbatim to pin the closed form against them.
+
+def ref_eri_values(rates, n_obs, k_max, switch):
+    if k_max == 0:
+        return np.zeros_like(rates)
+    ks = np.arange(k_max + 1, dtype=float)
+    log_coeff = np.full(k_max + 1, -np.inf)
+    log_coeff[:-1] = np.log(k_max - ks[:-1])
+    lf = log_factorials(k_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.log(rates)
+        terms = log_coeff + ks * log_r[..., None] - lf
+    terms[..., 0] = log_coeff[0]
+    log_u = logsumexp(terms, axis=-1)
+    if n_obs >= switch:
+        out = np.exp(log_u - rates)
+    else:
+        out = np.exp(log_u - log_partial_exp_sum(rates, n_obs))
+    return np.where(rates == 0.0, float(k_max), out)
+
+
+def ref_dmean_drate(rate, max_rank):
+    if max_rank == 0:
+        return 0.0
+    a = log_partial_exp_sum(rate, max_rank - 1)
+    b = log_partial_exp_sum(rate, max_rank)
+    c = log_partial_exp_sum(rate, max_rank - 2)
+    return math.exp(a - b) + rate * (math.exp(c - b) - math.exp(2.0 * (a - b)))
+
+
+def ref_deri_drate(rate, n_obs, k_max, switch):
+    if k_max == 0:
+        return 0.0
+    if rate == 0.0:
+        return -1.0
+    log_r = math.log(rate)
+    lf = log_factorials(k_max)
+    u_terms = [math.log(k_max - k) + k * log_r - lf[k] for k in range(k_max)]
+    log_u = logsumexp(u_terms)
+    du_terms = [math.log(k_max - k) + (k - 1) * log_r - lf[k - 1]
+                for k in range(1, k_max)]
+    log_du = logsumexp(du_terms) if du_terms else -np.inf
+    if n_obs >= switch:
+        return math.exp(log_du - rate) - math.exp(log_u - rate)
+    a = log_partial_exp_sum(rate, n_obs - 1)
+    b = log_partial_exp_sum(rate, n_obs)
+    return math.exp(log_du - b) - math.exp(log_u + a - 2.0 * b)
+
+
+def assert_rel_close(actual, reference, rel):
+    """Relative agreement wherever the reference is not vanishingly small."""
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    big = np.abs(reference) > 1e-290
+    np.testing.assert_allclose(actual[big], reference[big], rtol=rel, atol=0.0)
+
+
+RATES = st.lists(st.floats(0.0, 1e4).map(lambda r: r + 1e-300), min_size=1, max_size=8)
+N_OBS = st.sampled_from([1, 2, 5, 6, 8, 11, 12, 13, 30])
+
+
+class TestClosedForm:
+    """objective_and_drate against the log-space reference formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATES, N_OBS, st.sampled_from([0, 1, 2, 5]))
+    def test_eri_matches_log_space_reference(self, rates, n_obs, k_max):
+        k_max = min(k_max, n_obs)
+        rates = np.array(rates)
+        cfg = AcquisitionConfig(kind="eri", k_max=k_max)
+        values, slopes = objective_and_drate(rates, n_obs, cfg, 12)
+        assert_rel_close(-values, ref_eri_values(rates, n_obs, k_max, 12), 1e-11)
+        ref = [ref_deri_drate(float(r), n_obs, k_max, 12) for r in rates]
+        assert_rel_close(-slopes, ref, 1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATES, N_OBS, st.sampled_from([0.5, 1.0, 2.0]))
+    def test_lcb_matches_log_space_reference(self, rates, n_obs, beta):
+        rates = np.array(rates)
+        cfg = AcquisitionConfig(kind="r-lcb", beta=beta)
+        values, slopes = objective_and_drate(rates, n_obs, cfg, 12)
+        mu = np.array([r if n_obs >= 12 else truncated_mean(TruncatedPoisson(r, n_obs))
+                       for r in rates])
+        dmu = np.array([1.0 if n_obs >= 12 else ref_dmean_drate(float(r), n_obs)
+                        for r in rates])
+        assert_rel_close(values, np.sqrt(mu) * (np.sqrt(mu) - beta), 1e-11)
+        assert_rel_close(slopes, (1.0 - beta / (2.0 * np.sqrt(mu))) * dmu, 1e-9)
+
+    @pytest.mark.parametrize("kind", ["r-lcb", "eri"])
+    @pytest.mark.parametrize("n_obs", [5, 11, 12, 30])
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 5])
+    def test_finite_at_extreme_rates(self, kind, n_obs, k_max):
+        rates = np.array([0.0, 1e-300, 1e4, 1e300])
+        cfg = AcquisitionConfig(kind=kind, k_max=k_max)
+        values, slopes = objective_and_drate(rates, n_obs, cfg, 12)
+        assert np.isfinite(values).all() and np.isfinite(slopes).all()
+
+    @pytest.mark.parametrize("n_obs", [5, 30])
+    def test_eri_at_zero_rate_both_regimes(self, n_obs):
+        cfg = AcquisitionConfig(kind="eri", k_max=5)
+        values, slopes = objective_and_drate(np.zeros(1), n_obs, cfg, 12)
+        assert values[0] == -5.0 and slopes[0] == 1.0
+
+    def test_values_only_without_drate(self):
+        rates = np.array([0.2, 3.0])
+        for n_obs in (6, 30):
+            for kind in ("r-lcb", "eri"):
+                cfg = AcquisitionConfig(kind=kind, k_max=3)
+                values, slopes = objective_and_drate(rates, n_obs, cfg, 12, drate=False)
+                assert slopes is None
+                np.testing.assert_array_equal(
+                    values, objective_and_drate(rates, n_obs, cfg, 12)[0])
 
 
 class TestGradAcquisition:
@@ -293,11 +421,10 @@ class TestProposeDiscrete:
     def test_selection_invariant_under_constant_shift(self):
         # With nothing rectified the winner depends only on objective order,
         # so a constant offset on every value cannot move the argmin.
-        from popbo.acquisition import _objective_values
         rng = np.random.default_rng(74)
         rates = rng.uniform(0.0, 5.0, size=50)
         for kind in ("r-lcb", "eri"):
             cfg = AcquisitionConfig(kind=kind, q=1.0, k_max=3)
-            vals = _objective_values(rates, cfg, n_obs=8, switch=12)
+            vals, _ = objective_and_drate(rates, 8, cfg, 12, drate=False)
             for shift in (-10.0, 0.0, 3.7):
                 assert np.argmin(vals + shift) == np.argmin(vals)

@@ -209,6 +209,11 @@ class TestTabularBenchmark:
         with pytest.raises(InputError):
             TabularBenchmark.from_csv(p)
 
+    def test_has_no_noise_setting(self):
+        # evaluate is an exact lookup, so a noise level could only be dropped.
+        with pytest.raises(TypeError):
+            TabularBenchmark("t", ["a"], [[0.0], [1.0]], [0.5, 0.25], noise_sigma=0.5)
+
 
 class TestForresterRankingStudy:
     FAST = TrainConfig(steps=40, initial_lr=0.05, lr_decay=0.5, decay_every=20)

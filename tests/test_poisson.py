@@ -14,7 +14,9 @@ from popbo.poisson import (
     log_factorials,
     log_partial_exp_sum,
     log_partial_exp_sum_pair,
+    log_partial_exp_sums,
     logsumexp,
+    partial_sum_log_terms,
     pmf,
     pmf_vector,
     truncated_mean,
@@ -58,6 +60,14 @@ class TestLogHelpers:
             np.testing.assert_array_equal(log_s_prev, log_partial_exp_sum(rates, m - 1))
         with pytest.raises(DomainError):
             log_partial_exp_sum_pair(rates, 0)
+
+    def test_prefix_sums_match_single_sums_bitwise(self):
+        rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
+        for m in range(0, 14):
+            terms = partial_sum_log_terms(rates, m)
+            sums = log_partial_exp_sums(terms, m + 2)
+            for i, log_s in enumerate(sums):  # down to S(-1), which is -inf
+                np.testing.assert_array_equal(log_s, log_partial_exp_sum(rates, m - i))
 
     def test_partial_sum_matches_direct(self):
         for rate in (0.3, 1.0, 4.5):
