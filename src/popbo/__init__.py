@@ -24,8 +24,6 @@ from .poisson import (
     correct_ranking_probability,
     pmf,
     truncated_mean,
-    truncated_variance,
-    untruncated_mean_variance,
 )
 from .space import ContinuousSpace, DiscreteSpace
 from .surrogate import (

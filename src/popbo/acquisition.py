@@ -78,12 +78,11 @@ class AcquisitionConfig:
             raise DomainError("restarts and discrete_samples must be >= 1")
 
 
-def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig,
-                        switch: int = TRUNCATION_SWITCH_N, drate: bool = True):
+def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig, drate: bool = True):
     """Minimization objective per rate (1-d array), and its rate derivative.
 
-    The rank pmf is p_j = r^j / j! / Z on {0..n_obs}: Z = S(n_obs) below the
-    switch, exp(r) (plain Poisson) at or above it.  r-lcb is
+    The rank pmf is p_j = r^j / j! / Z on {0..n_obs}: Z = S(n_obs) below
+    TRUNCATION_SWITCH_N, exp(r) (plain Poisson) at or above it.  r-lcb is
     sqrt(mu) * (sqrt(mu) - beta) with mu = r S(n_obs-1) / S(n_obs) or r, and
     slope (1 - beta / (2 sqrt(mu))) * dmu/dr (0 where mu = 0).  eri is -ERI,
     ERI = F_0 + ... + F_{k_max-1} with F_j = p_0 + ... + p_j; as
@@ -96,7 +95,7 @@ def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig,
         (values, slopes), slopes None unless drate.
     """
     rates = np.asarray(rates, dtype=float)
-    plain = n_obs >= switch
+    plain = n_obs >= TRUNCATION_SWITCH_N
     if cfg.kind == "r-lcb":
         mu, dmu = rates, 1.0
         if not plain:
@@ -126,22 +125,19 @@ def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig,
     return -eri_values, slopes
 
 
-def lcb(rate: float, n_obs: int, beta: float,
-        truncation_switch_n: int = TRUNCATION_SWITCH_N) -> float:
+def lcb(rate: float, n_obs: int, beta: float) -> float:
     """Lower confidence bound sqrt(mu) * (sqrt(mu) - beta) on the expected rank."""
-    return _objective_at(rate, n_obs, AcquisitionConfig(kind="r-lcb", beta=beta),
-                         truncation_switch_n)
+    return _objective_at(rate, n_obs, AcquisitionConfig(kind="r-lcb", beta=beta))
 
 
-def _objective_at(rate: float, n_obs: int, cfg: AcquisitionConfig, switch: int) -> float:
+def _objective_at(rate: float, n_obs: int, cfg: AcquisitionConfig) -> float:
     if not (math.isfinite(rate) and rate >= 0):
         raise DomainError(f"rate must be finite and >= 0, got {rate!r}")
-    values, _ = objective_and_drate(np.array([float(rate)]), n_obs, cfg, switch, drate=False)
+    values, _ = objective_and_drate(np.array([float(rate)]), n_obs, cfg, drate=False)
     return float(values[0])
 
 
-def r_lcb(rate: float, n_obs: int, cfg: AcquisitionConfig, eps: float,
-          truncation_switch_n: int = TRUNCATION_SWITCH_N) -> tuple[float, bool]:
+def r_lcb(rate: float, n_obs: int, cfg: AcquisitionConfig, eps: float) -> tuple[float, bool]:
     """Rectified LCB: the LCB below the rate threshold q * n_obs, else eps.
 
     Args:
@@ -155,12 +151,11 @@ def r_lcb(rate: float, n_obs: int, cfg: AcquisitionConfig, eps: float,
         (value, rectified flag).
     """
     if rate < cfg.q * n_obs:
-        return lcb(rate, n_obs, cfg.beta, truncation_switch_n), False
+        return lcb(rate, n_obs, cfg.beta), False
     return float(eps), True
 
 
-def eri(rate: float, n_obs: int, k_max: int,
-        truncation_switch_n: int = TRUNCATION_SWITCH_N) -> float:
+def eri(rate: float, n_obs: int, k_max: int) -> float:
     """Expected ranking improvement over the worst tolerable rank k_max.
 
     This is an improvement, i.e. larger is better; the proposal optimizer
@@ -169,12 +164,10 @@ def eri(rate: float, n_obs: int, k_max: int,
     """
     if k_max > n_obs:
         raise DomainError(f"k_max={k_max} exceeds n_obs={n_obs}")
-    return -_objective_at(rate, n_obs, AcquisitionConfig(kind="eri", k_max=k_max),
-                          truncation_switch_n)
+    return -_objective_at(rate, n_obs, AcquisitionConfig(kind="eri", k_max=k_max))
 
 
-def grad_acquisition(model: IntensityModel, x, cfg: AcquisitionConfig, n_obs: int,
-                     truncation_switch_n: int = TRUNCATION_SWITCH_N) -> np.ndarray:
+def grad_acquisition(model: IntensityModel, x, cfg: AcquisitionConfig, n_obs: int) -> np.ndarray:
     """Gradient of the minimization objective with respect to x.
 
     Chain rule through the network: (d objective / d rate) * (d rate / d x).
@@ -186,7 +179,7 @@ def grad_acquisition(model: IntensityModel, x, cfg: AcquisitionConfig, n_obs: in
         raise DomainError("x must lie in the unit hypercube")
     if cfg.kind == "eri" and cfg.k_max > n_obs:
         raise DomainError(f"k_max={cfg.k_max} exceeds n_obs={n_obs}")
-    rate, grad = _rate_and_objective_grad(model, x, cfg, n_obs, truncation_switch_n)
+    rate, grad = _rate_and_objective_grad(model, x, cfg, n_obs)
     threshold = cfg.q * n_obs
     if rate >= threshold:
         raise RectifiedRegionError(rate, threshold)
@@ -194,9 +187,9 @@ def grad_acquisition(model: IntensityModel, x, cfg: AcquisitionConfig, n_obs: in
 
 
 def _rate_and_objective_grad(model: IntensityModel, x: np.ndarray, cfg: AcquisitionConfig,
-                             n_obs: int, switch: int):
+                             n_obs: int):
     rate, d_rate = model.rate_and_input_grad(x)
-    _, slopes = objective_and_drate(np.array([rate]), n_obs, cfg, switch)
+    _, slopes = objective_and_drate(np.array([rate]), n_obs, cfg)
     return rate, slopes[0] * d_rate
 
 
@@ -225,7 +218,7 @@ def _two_loop_direction(g: np.ndarray, s_hist: list, y_hist: list) -> np.ndarray
 
 
 def _descend(model: IntensityModel, x0: np.ndarray, cfg: AcquisitionConfig,
-             n_obs: int, threshold: float, switch: int):
+             n_obs: int, threshold: float):
     """Projected L-BFGS from one start; returns (x, value, frozen).
 
     The rectification test runs on each accepted iterate: a start or iterate
@@ -235,11 +228,11 @@ def _descend(model: IntensityModel, x0: np.ndarray, cfg: AcquisitionConfig,
 
     def obj(x):
         rates = model.rates(x[None, :])
-        values, _ = objective_and_drate(rates, n_obs, cfg, switch, drate=False)
+        values, _ = objective_and_drate(rates, n_obs, cfg, drate=False)
         return float(values[0]), float(rates[0])
 
     def obj_grad(x):
-        return _rate_and_objective_grad(model, x, cfg, n_obs, switch)[1]
+        return _rate_and_objective_grad(model, x, cfg, n_obs)[1]
 
     x = np.clip(x0, 0.0, 1.0)
     f, rate = obj(x)
@@ -285,7 +278,7 @@ def _descend(model: IntensityModel, x0: np.ndarray, cfg: AcquisitionConfig,
 
 
 def _propose_continuous(model: IntensityModel, dim: int, obs_n: int,
-                        cfg: AcquisitionConfig, switch: int) -> np.ndarray:
+                        cfg: AcquisitionConfig) -> np.ndarray:
     threshold = cfg.q * obs_n
     finals = np.empty((cfg.restarts, dim))
     values = np.empty(cfg.restarts)
@@ -294,28 +287,27 @@ def _propose_continuous(model: IntensityModel, dim: int, obs_n: int,
         sub = np.random.default_rng([cfg.rng_seed, i])
         x0 = sub.uniform(size=dim)
         eps = sub.uniform()
-        x_fin, val, frozen = _descend(model, x0, cfg, obs_n, threshold, switch)
+        x_fin, val, frozen = _descend(model, x0, cfg, obs_n, threshold)
         finals[i] = x_fin
         values[i] = eps if frozen else val
     return finals[int(np.argmin(values))].copy()
 
 
 def _propose_discrete(model: IntensityModel, space: DiscreteSpace, obs_n: int,
-                      cfg: AcquisitionConfig, switch: int) -> np.ndarray:
+                      cfg: AcquisitionConfig) -> np.ndarray:
     threshold = cfg.q * obs_n
     rng = np.random.default_rng(cfg.rng_seed)
     idx = rng.integers(0, space.n_candidates, size=cfg.discrete_samples)
     eps = rng.uniform(size=cfg.discrete_samples)
     pts = space.candidates[idx]
     rates = model.rates(pts)
-    raw, _ = objective_and_drate(rates, obs_n, cfg, switch, drate=False)
+    raw, _ = objective_and_drate(rates, obs_n, cfg, drate=False)
     vals = np.where(rates < threshold, raw, eps)
     return pts[int(np.argmin(vals))].copy()
 
 
 def propose_next(model: IntensityModel, space, obs: ObservationSet,
-                 cfg: AcquisitionConfig,
-                 truncation_switch_n: int = TRUNCATION_SWITCH_N) -> np.ndarray:
+                 cfg: AcquisitionConfig) -> np.ndarray:
     """Next query point minimizing the (rectified) acquisition objective.
 
     Continuous spaces run cfg.restarts independent descents from uniform
@@ -330,7 +322,7 @@ def propose_next(model: IntensityModel, space, obs: ObservationSet,
     if cfg.kind == "eri" and cfg.k_max > n_obs:
         raise DomainError(f"k_max={cfg.k_max} exceeds n_obs={n_obs}")
     if isinstance(space, DiscreteSpace):
-        return _propose_discrete(model, space, n_obs, cfg, truncation_switch_n)
+        return _propose_discrete(model, space, n_obs, cfg)
     if isinstance(space, ContinuousSpace):
-        return _propose_continuous(model, space.dim, n_obs, cfg, truncation_switch_n)
+        return _propose_continuous(model, space.dim, n_obs, cfg)
     raise DomainError(f"unsupported search space {type(space).__name__}")

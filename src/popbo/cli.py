@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DomainError, EvaluationFailedError, InputError, PopboError
+from .errors import DomainError, InputError, PopboError
 from .harness import METHODS, ExperimentConfig, run_experiment
 
 _CONFIG_SECTION = "popbo"
@@ -109,22 +109,11 @@ def main(argv=None) -> int:
             out_dir=str(out_dir),
             workers=int(settings["workers"]),
         )
-    except (DomainError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         written = run_experiment(cfg)
     except (DomainError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, EvaluationFailedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PopboError as exc:
+    except (OSError, PopboError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

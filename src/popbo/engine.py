@@ -1,5 +1,8 @@
 """The optimization loop: initialize, rank, fit, propose, observe, record.
 
+PoPBO and the random-search baseline are the same loop with different
+proposal steps.
+
 RNG discipline keeps the query sequence a function of (config, seed) and of
 the observation *ranks* only: per iteration the master stream hands out a
 model seed, a fit seed, and a proposal seed in a fixed order, and noise is
@@ -26,7 +29,8 @@ from .surrogate import (
     fit,
 )
 
-__all__ = ["BoRunConfig", "TraceRecord", "RegretTrace", "run", "incumbent"]
+__all__ = ["BoRunConfig", "TraceRecord", "RegretTrace", "run", "random_search_baseline",
+           "incumbent"]
 
 _SEED_BOUND = 2 ** 63
 
@@ -36,9 +40,9 @@ class BoRunConfig:
     """One optimization run.
 
     hidden widths are configurable only so tests can run tiny networks; the
-    production architecture is the default.  cold_start=True re-initializes
-    the network parameters every iteration instead of warm-starting from the
-    previous fit (ADAM moments reset either way).
+    production architecture is the default.  ERI's k_max may not exceed
+    n_init: the first proposal ranks against n_init observations, so such a
+    config is rejected here, before any evaluation is spent.
     """
 
     n_init: int = 12
@@ -46,7 +50,6 @@ class BoRunConfig:
     seed: int = 0
     surrogate: TrainConfig = field(default_factory=TrainConfig)
     acquisition: AcquisitionConfig = field(default_factory=AcquisitionConfig)
-    cold_start: bool = False
     hidden: tuple = DEFAULT_HIDDEN
 
     def __post_init__(self):
@@ -54,6 +57,8 @@ class BoRunConfig:
             raise InputError(f"n_init must be >= 2, got {self.n_init}")
         if self.n_iters < 0:
             raise InputError(f"n_iters must be >= 0, got {self.n_iters}")
+        if self.acquisition.kind == "eri" and self.acquisition.k_max > self.n_init:
+            raise InputError(f"k_max={self.acquisition.k_max} exceeds n_init={self.n_init}")
 
 
 @dataclass(frozen=True)
@@ -122,70 +127,96 @@ def _observe(objective, x_norm, rng, trace):
     return y
 
 
-def run(objective, cfg: BoRunConfig) -> RegretTrace:
-    """Execute the full loop and return the trace.
+def _loop(objective, seed: int, n_init: int, n_iters: int, step) -> RegretTrace:
+    """The run every method shares: a uniform block of n_init, then n_iters steps.
 
-    Each iteration recomputes ranks of everything observed so far, trains the
-    intensity model, proposes the acquisition minimizer, and evaluates it.
-    Wall-clock seconds are recorded split into fit / propose / evaluate.
+    step(rng, points, values) returns (x_next, fit_seconds, propose_seconds)
+    from the run's master stream, the (N, d) points and the N values so far.
+    Every evaluation goes through _observe, so a failure raises
+    EvaluationFailedError carrying the trace recorded before it.
     """
     space = objective.space
     optimum = objective.optimum
     trace = RegretTrace(getattr(objective, "name", "objective"), space.dim, optimum)
-    rng = np.random.default_rng(cfg.seed)
-
+    rng = np.random.default_rng(seed)
+    values = []
     best = math.inf
 
-    def record(iteration, x_norm, y, fit_s, propose_s, eval_s):
+    def observe(iteration, x_norm, fit_s, propose_s):
         nonlocal best
-        if y < best:
-            best = y
-        regret = best - optimum if optimum is not None else math.nan
+        t0 = time.perf_counter()
+        y = _observe(objective, x_norm, rng, trace)
+        eval_s = time.perf_counter() - t0
+        values.append(y)
+        best = min(best, y)
         trace.records.append(TraceRecord(
             iteration=iteration,
             point=np.asarray(objective.trace_point(x_norm), dtype=float),
             value=y,
             incumbent=best,
-            regret=regret,
+            regret=best - optimum if optimum is not None else math.nan,
             fit_seconds=fit_s,
             propose_seconds=propose_s,
             eval_seconds=eval_s,
         ))
 
-    points = space.sample(rng, cfg.n_init)
-    values = []
-    for i in range(cfg.n_init):
-        t0 = time.perf_counter()
-        y = _observe(objective, points[i], rng, trace)
-        values.append(y)
-        record(0, points[i], y, 0.0, 0.0, time.perf_counter() - t0)
+    points = space.sample(rng, n_init)
+    for x in points:
+        observe(0, x, 0.0, 0.0)
+    for t in range(1, n_iters + 1):
+        x_next, fit_s, propose_s = step(rng, points, values)
+        points = np.vstack([points, x_next[None, :]])
+        observe(t, x_next, fit_s, propose_s)
+    return trace
 
+
+def run(objective, cfg: BoRunConfig) -> RegretTrace:
+    """Execute the full loop and return the trace.
+
+    Each iteration recomputes ranks of everything observed so far, trains the
+    intensity model (created at the first iteration, warm-started after),
+    proposes the acquisition minimizer, and evaluates it.  Wall-clock seconds
+    are recorded split into fit / propose / evaluate.
+    """
+    space = objective.space
     model = None
-    for t in range(1, cfg.n_iters + 1):
-        # Fixed draw order per iteration, independent of observed values.
+
+    def step(rng, points, values):
+        nonlocal model
+        # Fixed draw order per iteration, independent of observed values; the
+        # model seed is drawn every time although only the first one is used.
         model_seed = int(rng.integers(_SEED_BOUND))
         fit_seed = int(rng.integers(_SEED_BOUND))
         propose_seed = int(rng.integers(_SEED_BOUND))
 
         obs = ObservationSet(points, np.asarray(values), compute_ranks(values))
-
         t0 = time.perf_counter()
-        if model is None or cfg.cold_start:
+        if model is None:
             model = IntensityModel.create(space.dim, cfg.hidden, rng_seed=model_seed)
         fit(model, obs, cfg.surrogate, rng=np.random.default_rng(fit_seed))
-        fit_s = time.perf_counter() - t0
+        t1 = time.perf_counter()
+        x_next = propose_next(model, space, obs, replace(cfg.acquisition, rng_seed=propose_seed))
+        return x_next, t1 - t0, time.perf_counter() - t1
 
-        t0 = time.perf_counter()
-        acq = replace(cfg.acquisition, rng_seed=propose_seed)
-        x_next = propose_next(model, space, obs, acq,
-                              truncation_switch_n=cfg.surrogate.truncation_switch_n)
-        propose_s = time.perf_counter() - t0
+    return _loop(objective, cfg.seed, cfg.n_init, cfg.n_iters, step)
 
-        t0 = time.perf_counter()
-        y_next = _observe(objective, x_next, rng, trace)
-        eval_s = time.perf_counter() - t0
 
-        points = np.vstack([points, x_next[None, :]])
-        values.append(y_next)
-        record(t, x_next, y_next, fit_s, propose_s, eval_s)
-    return trace
+def random_search_baseline(objective, budget: int, seed: int,
+                           n_init: int | None = None) -> RegretTrace:
+    """Uniform i.i.d. queries through the same loop as run.
+
+    The first min(n_init, budget) draws (all budget when n_init is None) are
+    the loop's initial block (one block draw, then per-point noise), so a
+    PoPBO run with the same seed shares those rows bitwise; every later query
+    is one more uniform draw.
+
+    Raises:
+        EvaluationFailedError: an evaluation raised or returned a non-finite
+            value; the error carries the trace observed so far.
+    """
+    if budget < 1:
+        raise PreconditionError(f"budget must be >= 1, got {budget}")
+    block = budget if n_init is None else max(1, min(int(n_init), budget))
+    space = objective.space
+    return _loop(objective, seed, block, budget - block,
+                 lambda rng, points, values: (space.sample(rng, 1)[0], 0.0, 0.0))

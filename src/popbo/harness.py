@@ -12,7 +12,6 @@ only fields that may differ between reruns of the same config and seed.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,8 +20,8 @@ import numpy as np
 
 from .acquisition import AcquisitionConfig
 from .benchmarks import BENCHMARK_NAMES, TabularBenchmark, get_benchmark
-from .engine import BoRunConfig, RegretTrace, TraceRecord, _observe, run
-from .errors import DomainError, EvaluationFailedError, InputError, PreconditionError
+from .engine import BoRunConfig, RegretTrace, random_search_baseline, run
+from .errors import DomainError, EvaluationFailedError, InputError
 
 __all__ = [
     "METHODS",
@@ -100,52 +99,6 @@ def resolve_benchmark(name: str, noise_sigma: float = 0.0):
 
 def default_n_init(benchmark_name: str) -> int:
     return 30 if str(benchmark_name).lower() == "rosenbrock6" else 12
-
-
-def random_search_baseline(objective, budget: int, seed: int,
-                           n_init: int | None = None) -> RegretTrace:
-    """Uniform i.i.d. queries with the trace format of an engine run.
-
-    The first min(n_init, budget) draws replicate the engine's initial-design
-    block (one block draw, then per-point noise), so a PoPBO run with the
-    same seed shares those rows bitwise.
-
-    Raises:
-        EvaluationFailedError: an evaluation raised or returned a non-finite
-            value; the error carries the trace observed so far.
-    """
-    if budget < 1:
-        raise PreconditionError(f"budget must be >= 1, got {budget}")
-    block = budget if n_init is None else max(1, min(int(n_init), budget))
-    space = objective.space
-    trace = RegretTrace(getattr(objective, "name", "objective"), space.dim,
-                        objective.optimum)
-    rng = np.random.default_rng(seed)
-    best = math.inf
-
-    def record(iteration, x_norm, y, eval_s):
-        nonlocal best
-        if y < best:
-            best = y
-        regret = best - trace.optimum if trace.optimum is not None else math.nan
-        trace.records.append(TraceRecord(
-            iteration=iteration,
-            point=np.asarray(objective.trace_point(x_norm), dtype=float),
-            value=y, incumbent=best, regret=regret,
-            fit_seconds=0.0, propose_seconds=0.0, eval_seconds=eval_s,
-        ))
-
-    points = space.sample(rng, block)
-    for i in range(block):
-        t0 = time.perf_counter()
-        y = _observe(objective, points[i], rng, trace)
-        record(0, points[i], y, time.perf_counter() - t0)
-    for t in range(1, budget - block + 1):
-        x = space.sample(rng, 1)[0]
-        t0 = time.perf_counter()
-        y = _observe(objective, x, rng, trace)
-        record(t, x, y, time.perf_counter() - t0)
-    return trace
 
 
 def _float_str(v: float) -> str:
@@ -266,6 +219,10 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     n_init = cfg.n_init if cfg.n_init is not None else default_n_init(benchmark_label)
     if n_init < 2:
         raise DomainError("n_init must be >= 2")
+    if cfg.method != "random-search":
+        # Reject a bad run config (e.g. ERI's k_max above n_init) before any
+        # seed spends an evaluation.
+        _build_run_config(cfg, n_init, cfg.seeds[0])
 
     written = []
     if cfg.workers > 1:

@@ -30,12 +30,9 @@ __all__ = [
     "log_pmf",
     "pmf_vector",
     "truncated_mean",
-    "truncated_variance",
-    "untruncated_mean_variance",
     "correct_ranking_probability",
     "log_factorials",
     "log_partial_exp_sum",
-    "log_partial_exp_sum_pair",
     "log_partial_exp_sums",
     "partial_sum_log_terms",
     "logsumexp",
@@ -130,18 +127,6 @@ def log_partial_exp_sum(rate, m: int):
     return float(out[0]) if scalar else out
 
 
-def log_partial_exp_sum_pair(rates: np.ndarray, m: int):
-    """(log S(m), log S(m - 1)) for an array of rates, from one term matrix.
-
-    Each equals the corresponding log_partial_exp_sum bitwise: the terms of
-    S(m - 1) are the first m columns of those of S(m).
-    """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    terms = partial_sum_log_terms(np.atleast_1d(np.asarray(rates, dtype=float)), m)
-    return tuple(log_partial_exp_sums(terms, 2))
-
-
 def log_partial_exp_sums(terms: np.ndarray, count: int) -> list:
     """[log S(m), ..., log S(m - count + 1)] from the term matrix of S(m).
 
@@ -191,21 +176,6 @@ class TruncatedPoisson:
             raise DomainError(f"rate must be finite and >= 0, got {self.rate!r}")
         object.__setattr__(self, "rate", float(self.rate))
         object.__setattr__(self, "max_rank", int(self.max_rank))
-
-    def pmf(self, k: int) -> float:
-        return pmf(self, k)
-
-    def log_pmf(self, k: int) -> float:
-        return log_pmf(self, k)
-
-    def pmf_vector(self) -> np.ndarray:
-        return pmf_vector(self.rate, self.max_rank)
-
-    def mean(self) -> float:
-        return truncated_mean(self)
-
-    def variance(self) -> float:
-        return truncated_variance(self)
 
 
 @dataclass(frozen=True)
@@ -298,31 +268,6 @@ def truncated_mean(dist: TruncatedPoisson) -> float:
     log_num = log_partial_exp_sum(dist.rate, dist.max_rank - 1)
     log_den = log_partial_exp_sum(dist.rate, dist.max_rank)
     return float(dist.rate * math.exp(log_num - log_den))
-
-
-def truncated_variance(dist: TruncatedPoisson) -> float:
-    """Exact variance of the truncated distribution (diagnostic only).
-
-    The acquisition functions use sqrt(mean) as the spread; this exposes the
-    true second moment for inspection.
-    """
-    p = pmf_vector(dist.rate, dist.max_rank)
-    ks = np.arange(dist.max_rank + 1, dtype=float)
-    mu = float(np.dot(ks, p))
-    return float(np.dot(ks * ks, p) - mu * mu)
-
-
-def untruncated_mean_variance(rate: float) -> tuple[float, float]:
-    """Plain Poisson moments (mean, variance), both equal to the rate.
-
-    Used in the large-sample regime where truncation is dropped.
-
-    Args:
-        rate: nonnegative rate.
-    """
-    if not (math.isfinite(rate) and rate >= 0):
-        raise DomainError(f"rate must be finite and >= 0, got {rate!r}")
-    return float(rate), float(rate)
 
 
 def correct_ranking_probability(gap: float, noise_sigma: float) -> float:

@@ -3,9 +3,10 @@
 The surrogate maps a normalized point x in [0,1]^d to a positive rate, the
 expected number of observed points that beat x.  Ranks of the observation set
 follow truncated Poisson laws parameterized by that rate; maximizing their
-joint log-likelihood trains the network.  Below ``truncation_switch_n``
+joint log-likelihood trains the network.  Below TRUNCATION_SWITCH_N (12)
 observations the truncated normalizer S(N-1) is used; at or above it the plain
-Poisson form applies.
+Poisson form applies.  That constant is the one place the regime is decided,
+for the likelihood, the posterior and the acquisition alike.
 
 The network is fixed to three hidden rectified-linear layers (width 128) with
 a softplus output for positivity; widths are configurable only so tests can
@@ -31,7 +32,8 @@ from .poisson import (
     TruncatedPoisson,
     log_factorials,
     log_partial_exp_sum,
-    log_partial_exp_sum_pair,
+    log_partial_exp_sums,
+    partial_sum_log_terms,
     pmf_vector,
     truncated_mean,
 )
@@ -142,8 +144,7 @@ class ObservationSet:
 class TrainConfig:
     """ADAM schedule for likelihood maximization.
 
-    steps=0 is allowed and leaves the model untouched (used by tests and the
-    cold-start path).
+    steps=0 is allowed and leaves the model untouched.
     """
 
     steps: int = 100
@@ -151,7 +152,6 @@ class TrainConfig:
     initial_lr: float = 0.01
     lr_decay: float = 0.2
     decay_every: int = 30
-    truncation_switch_n: int = TRUNCATION_SWITCH_N
 
     def __post_init__(self):
         if self.steps < 0:
@@ -162,8 +162,6 @@ class TrainConfig:
             raise InputError("initial_lr must be > 0")
         if not (0 < self.lr_decay <= 1):
             raise InputError("lr_decay must lie in (0, 1]")
-        if self.truncation_switch_n < 2:
-            raise InputError("truncation_switch_n must be >= 2")
 
 
 @dataclass
@@ -300,26 +298,25 @@ def _ll_terms(rates: np.ndarray, ranks: np.ndarray, norm: np.ndarray) -> np.ndar
     return k_term - lf[ranks] - norm
 
 
-def _normalizer(rates: np.ndarray, n_obs: int, switch: int):
+def _normalizer(rates: np.ndarray, n_obs: int):
     """Per-point log-normalizer and its derivative with respect to the rate.
 
     Below the switch these are log S(N-1) and S(N-2)/S(N-1), from one term
     matrix; at or above it the plain Poisson exponent (the rate itself) and 1.
     """
-    if n_obs >= switch:
+    if n_obs >= TRUNCATION_SWITCH_N:
         return rates, np.ones_like(rates)
-    log_s1, log_s2 = log_partial_exp_sum_pair(rates, n_obs - 1)
+    log_s1, log_s2 = log_partial_exp_sums(partial_sum_log_terms(rates, n_obs - 1), 2)
     return log_s1, np.exp(log_s2 - log_s1)
 
 
-def rate_gradient(rates: np.ndarray, ranks: np.ndarray, n_obs: int,
-                  truncation_switch_n: int = TRUNCATION_SWITCH_N) -> np.ndarray:
+def rate_gradient(rates: np.ndarray, ranks: np.ndarray, n_obs: int) -> np.ndarray:
     """Per-point derivative of the log-likelihood with respect to each rate.
 
     Equals k/rate - S(N-2)/S(N-1) below the switch and k/rate - 1 above it.
     """
     rates = np.asarray(rates, dtype=float)
-    return np.asarray(ranks) / rates - _normalizer(rates, n_obs, truncation_switch_n)[1]
+    return np.asarray(ranks) / rates - _normalizer(rates, n_obs)[1]
 
 
 def _require_fittable(obs: ObservationSet):
@@ -327,8 +324,7 @@ def _require_fittable(obs: ObservationSet):
         raise PreconditionError(f"need at least 2 observations, got {len(obs)}")
 
 
-def log_likelihood(model: IntensityModel, obs: ObservationSet,
-                   truncation_switch_n: int = TRUNCATION_SWITCH_N) -> float:
+def log_likelihood(model: IntensityModel, obs: ObservationSet) -> float:
     """Joint ranking log-likelihood of the observation set under the model.
 
     Includes the constant log(k!) terms so reported values are comparable
@@ -337,12 +333,11 @@ def log_likelihood(model: IntensityModel, obs: ObservationSet,
     _require_fittable(obs)
     rates = model.rates(obs.points)
     n = len(obs)
-    norm = rates if n >= truncation_switch_n else log_partial_exp_sum(rates, n - 1)
+    norm = rates if n >= TRUNCATION_SWITCH_N else log_partial_exp_sum(rates, n - 1)
     return float(np.sum(_ll_terms(rates, obs.ranks, norm)))
 
 
-def grad_log_likelihood(model: IntensityModel, obs: ObservationSet,
-                        truncation_switch_n: int = TRUNCATION_SWITCH_N):
+def grad_log_likelihood(model: IntensityModel, obs: ObservationSet):
     """Gradient of log_likelihood with respect to every parameter.
 
     Returns:
@@ -350,7 +345,7 @@ def grad_log_likelihood(model: IntensityModel, obs: ObservationSet,
     """
     _require_fittable(obs)
     rates, caches = model._forward(obs.points)
-    d_rates = rate_gradient(rates, obs.ranks, len(obs), truncation_switch_n)
+    d_rates = rate_gradient(rates, obs.ranks, len(obs))
     return model._views(model._backward(caches, d_rates, np.empty_like(model.params)))
 
 
@@ -383,9 +378,8 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
         rng = np.random.default_rng([model.rng_seed, 1])
     n = len(obs)
     batch = min(cfg.batch_size, n)
-    switch = cfg.truncation_switch_n
 
-    nll_start = -log_likelihood(model, obs, switch)
+    nll_start = -log_likelihood(model, obs)
     start = model.params.copy()
     adam = _Adam(model.params)
 
@@ -400,7 +394,7 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
 
         rates, caches = model._forward(obs.points[idx])
         ranks = obs.ranks[idx]
-        norm, norm_grad = _normalizer(rates, n, switch)
+        norm, norm_grad = _normalizer(rates, n)
         loss = -float(_ll_terms(rates, ranks, norm).mean())
         if not math.isfinite(loss):
             raise TrainingDivergedError(step)
@@ -408,7 +402,7 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
         model._backward(caches, -d_rates / idx.size, adam.grad)
         adam.step(cfg.initial_lr * cfg.lr_decay ** (step // cfg.decay_every), step + 1)
 
-    nll_end = -log_likelihood(model, obs, switch)
+    nll_end = -log_likelihood(model, obs)
     if not (nll_end <= nll_start):
         # ADAM overshot (or broke) on this set; keep the no-worse parameters.
         model.params[...] = start
@@ -455,14 +449,13 @@ class _Adam:
         self.params -= num
 
 
-def predict(model: IntensityModel, x, n_obs: int, use_truncated: bool | None = None,
-            truncation_switch_n: int = TRUNCATION_SWITCH_N) -> RankPosterior:
+def predict(model: IntensityModel, x, n_obs: int) -> RankPosterior:
     """Rank posterior of a new candidate against n_obs observed points.
 
     A new candidate can rank below every observation, so its support is
-    {0, ..., n_obs}.  When use_truncated is None the truncated form is used
-    below the switch and the plain Poisson above it.  Either way the reported
-    spread is sqrt(mean).
+    {0, ..., n_obs}.  The truncated form is used below the switch and the
+    plain Poisson at or above it.  Either way the reported spread is
+    sqrt(mean).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != model.dim:
@@ -471,11 +464,8 @@ def predict(model: IntensityModel, x, n_obs: int, use_truncated: bool | None = N
         raise DomainError("x must lie in the unit hypercube")
     if n_obs < 0:
         raise DomainError(f"n_obs must be >= 0, got {n_obs}")
-    if use_truncated is None:
-        use_truncated = n_obs < truncation_switch_n
-
     rate = float(model.rates(x[None, :])[0])
-    if use_truncated:
+    if n_obs < TRUNCATION_SWITCH_N:
         probs = pmf_vector(rate, n_obs)
         mean = truncated_mean(TruncatedPoisson(rate, n_obs))
     else:

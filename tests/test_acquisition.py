@@ -45,10 +45,10 @@ def increasing_rate_model():
     return model
 
 
-def slope(kind, rate, n_obs, switch=12, **cfg):
+def slope(kind, rate, n_obs, **cfg):
     """d objective / d rate at one rate (the objective is -ERI for eri)."""
     acq = AcquisitionConfig(kind=kind, **cfg)
-    return float(objective_and_drate(np.array([rate]), n_obs, acq, switch)[1][0])
+    return float(objective_and_drate(np.array([rate]), n_obs, acq)[1][0])
 
 
 def random_obs(rng, n, dim):
@@ -251,7 +251,7 @@ class TestClosedForm:
         k_max = min(k_max, n_obs)
         rates = np.array(rates)
         cfg = AcquisitionConfig(kind="eri", k_max=k_max)
-        values, slopes = objective_and_drate(rates, n_obs, cfg, 12)
+        values, slopes = objective_and_drate(rates, n_obs, cfg)
         assert_rel_close(-values, ref_eri_values(rates, n_obs, k_max, 12), 1e-11)
         ref = [ref_deri_drate(float(r), n_obs, k_max, 12) for r in rates]
         assert_rel_close(-slopes, ref, 1e-9)
@@ -261,7 +261,7 @@ class TestClosedForm:
     def test_lcb_matches_log_space_reference(self, rates, n_obs, beta):
         rates = np.array(rates)
         cfg = AcquisitionConfig(kind="r-lcb", beta=beta)
-        values, slopes = objective_and_drate(rates, n_obs, cfg, 12)
+        values, slopes = objective_and_drate(rates, n_obs, cfg)
         mu = np.array([r if n_obs >= 12 else truncated_mean(TruncatedPoisson(r, n_obs))
                        for r in rates])
         dmu = np.array([1.0 if n_obs >= 12 else ref_dmean_drate(float(r), n_obs)
@@ -275,13 +275,13 @@ class TestClosedForm:
     def test_finite_at_extreme_rates(self, kind, n_obs, k_max):
         rates = np.array([0.0, 1e-300, 1e4, 1e300])
         cfg = AcquisitionConfig(kind=kind, k_max=k_max)
-        values, slopes = objective_and_drate(rates, n_obs, cfg, 12)
+        values, slopes = objective_and_drate(rates, n_obs, cfg)
         assert np.isfinite(values).all() and np.isfinite(slopes).all()
 
     @pytest.mark.parametrize("n_obs", [5, 30])
     def test_eri_at_zero_rate_both_regimes(self, n_obs):
         cfg = AcquisitionConfig(kind="eri", k_max=5)
-        values, slopes = objective_and_drate(np.zeros(1), n_obs, cfg, 12)
+        values, slopes = objective_and_drate(np.zeros(1), n_obs, cfg)
         assert values[0] == -5.0 and slopes[0] == 1.0
 
     def test_values_only_without_drate(self):
@@ -289,10 +289,10 @@ class TestClosedForm:
         for n_obs in (6, 30):
             for kind in ("r-lcb", "eri"):
                 cfg = AcquisitionConfig(kind=kind, k_max=3)
-                values, slopes = objective_and_drate(rates, n_obs, cfg, 12, drate=False)
+                values, slopes = objective_and_drate(rates, n_obs, cfg, drate=False)
                 assert slopes is None
                 np.testing.assert_array_equal(
-                    values, objective_and_drate(rates, n_obs, cfg, 12)[0])
+                    values, objective_and_drate(rates, n_obs, cfg)[0])
 
 
 class TestGradAcquisition:
@@ -425,6 +425,6 @@ class TestProposeDiscrete:
         rates = rng.uniform(0.0, 5.0, size=50)
         for kind in ("r-lcb", "eri"):
             cfg = AcquisitionConfig(kind=kind, q=1.0, k_max=3)
-            vals, _ = objective_and_drate(rates, 8, cfg, 12, drate=False)
+            vals, _ = objective_and_drate(rates, 8, cfg, drate=False)
             for shift in (-10.0, 0.0, 3.7):
                 assert np.argmin(vals + shift) == np.argmin(vals)

@@ -2,7 +2,9 @@
 
 import pytest
 
+import popbo.cli as cli
 from popbo.cli import main
+from popbo.errors import EvaluationFailedError, TrainingDivergedError
 from popbo.harness import read_trace_csv
 
 
@@ -39,6 +41,28 @@ class TestUsageErrors:
 
     def test_unreadable_config_file(self, tmp_path):
         assert run_cli(tmp_path, "--config", str(tmp_path / "absent.ini")) == 1
+
+    def test_eri_k_max_above_init_rejected_before_running(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--benchmark", "branin", "--method", "popbo-eri", "--init", "3",
+                     "--kmax", "5", "--iters", "2", "--out", str(out)]) == 2
+        assert "k_max=5 exceeds n_init=3" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+
+class TestRunFailures:
+    @pytest.mark.parametrize("error", [
+        TrainingDivergedError(3),
+        EvaluationFailedError(None, ValueError("non-finite observation")),
+        OSError("disk full"),
+    ])
+    def test_run_failure_exits_1(self, tmp_path, monkeypatch, capsys, error):
+        def fail(cfg):
+            raise error
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert run_cli(tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestHappyPath:

@@ -1,11 +1,11 @@
 """Tests for the optimization loop: trace shape, determinism, invariances."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import popbo.engine as engine
 from popbo.acquisition import AcquisitionConfig
 from popbo.benchmarks import BenchmarkFunction, branin, get_benchmark
 from popbo.engine import BoRunConfig, RegretTrace, TraceRecord, incumbent, run
@@ -39,6 +39,14 @@ class TestConfigValidation:
     def test_rejects_negative_iters(self):
         with pytest.raises(InputError):
             BoRunConfig(n_iters=-1)
+
+    def test_rejects_eri_k_max_above_n_init(self):
+        # The first proposal ranks against n_init points; ERI's k_max above
+        # that would fail only after the initial block was evaluated.
+        with pytest.raises(InputError, match="k_max=5 exceeds n_init=3"):
+            BoRunConfig(n_init=3, acquisition=AcquisitionConfig(kind="eri", k_max=5))
+        BoRunConfig(n_init=5, acquisition=AcquisitionConfig(kind="eri", k_max=5))
+        BoRunConfig(n_init=3, acquisition=AcquisitionConfig(kind="r-lcb", k_max=5))
 
 
 class TestIncumbent:
@@ -139,12 +147,18 @@ class TestDeterminism:
         b = run(warped, cfg)
         np.testing.assert_array_equal(a.points, b.points)
 
-    def test_cold_start_changes_queries(self):
-        cfg = small_config(n_iters=4, seed=2)
-        warm = run(get_benchmark("branin"), cfg)
-        cold = run(get_benchmark("branin"), replace(cfg, cold_start=True))
-        assert len(cold) == len(warm)
-        assert not np.array_equal(warm.points, cold.points)
+    def test_one_network_warm_started_across_iterations(self, monkeypatch):
+        fitted = []
+        real_fit = engine.fit
+
+        def spy(model, obs, cfg, rng=None):
+            fitted.append(model)
+            return real_fit(model, obs, cfg, rng=rng)
+
+        monkeypatch.setattr(engine, "fit", spy)
+        run(get_benchmark("branin"), small_config(n_iters=4, seed=2))
+        assert len(fitted) == 4
+        assert all(model is fitted[0] for model in fitted)
 
 
 class TestEvaluationFailure:

@@ -1,10 +1,12 @@
 """Tests for the experiment harness: baselines, trace files, summaries."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import popbo.harness as harness
 from popbo.benchmarks import TabularBenchmark, get_benchmark
 from popbo.engine import BoRunConfig, run
 from popbo.errors import DomainError, EvaluationFailedError, InputError, PreconditionError
@@ -259,6 +261,31 @@ class TestRunExperiment:
         written = run_experiment(cfg)
         _, rows = read_trace_csv(written[0])
         assert len(rows) == 4
+
+    def test_eri_k_max_above_n_init_rejected_before_any_evaluation(self, tmp_path,
+                                                                    monkeypatch):
+        bench = get_benchmark("branin")
+        evaluated = []
+
+        class Counting:
+            name, space, optimum = bench.name, bench.space, bench.optimum
+            trace_point = staticmethod(bench.trace_point)
+
+            def evaluate(self, x, rng):
+                evaluated.append(x)
+                return bench.evaluate(x, rng)
+
+        monkeypatch.setattr(harness, "resolve_benchmark",
+                            lambda name, noise_sigma=0.0: Counting())
+        cfg = ExperimentConfig(benchmark="branin", method="popbo-eri", seeds=(0, 1),
+                               n_init=3, n_iters=2, k_max=5, out_dir=str(tmp_path))
+        with pytest.raises(InputError, match="k_max=5 exceeds n_init=3"):
+            run_experiment(cfg)
+        assert evaluated == []
+        assert list(tmp_path.iterdir()) == []
+        # k_max is ERI's alone: random search runs with the same settings.
+        run_experiment(replace(cfg, method="random-search"))
+        assert len(evaluated) == 2 * (3 + 2)
 
     def test_table_parsed_once_per_experiment(self, tmp_path, monkeypatch):
         table = tmp_path / "grid.csv"

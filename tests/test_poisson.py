@@ -13,15 +13,12 @@ from popbo.poisson import (
     correct_ranking_probability,
     log_factorials,
     log_partial_exp_sum,
-    log_partial_exp_sum_pair,
     log_partial_exp_sums,
     logsumexp,
     partial_sum_log_terms,
     pmf,
     pmf_vector,
     truncated_mean,
-    truncated_variance,
-    untruncated_mean_variance,
 )
 
 
@@ -51,15 +48,6 @@ class TestLogHelpers:
             table[0] = 1.0
         # Shorter tables are exact prefixes of longer ones.
         np.testing.assert_array_equal(log_factorials(4), table[:5])
-
-    def test_partial_sum_pair_matches_single_sums_bitwise(self):
-        rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
-        for m in range(1, 14):
-            log_s, log_s_prev = log_partial_exp_sum_pair(rates, m)
-            np.testing.assert_array_equal(log_s, log_partial_exp_sum(rates, m))
-            np.testing.assert_array_equal(log_s_prev, log_partial_exp_sum(rates, m - 1))
-        with pytest.raises(DomainError):
-            log_partial_exp_sum_pair(rates, 0)
 
     def test_prefix_sums_match_single_sums_bitwise(self):
         rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
@@ -161,26 +149,10 @@ class TestMoments:
         expected = float(np.dot(np.arange(max_rank + 1), p))
         assert abs(truncated_mean(TruncatedPoisson(rate, max_rank)) - expected) <= 1e-10
 
-    def test_variance_matches_expectation_sums(self):
-        dist = TruncatedPoisson(2.5, 8)
-        p = pmf_vector(2.5, 8)
-        ks = np.arange(9, dtype=float)
-        mu = float(np.dot(ks, p))
-        assert math.isclose(truncated_variance(dist),
-                            float(np.dot(ks * ks, p)) - mu * mu, rel_tol=1e-11)
-
     def test_mean_below_rate(self):
         # Truncation removes high ranks, so the mean cannot exceed the rate.
         for rate in (0.5, 2.0, 10.0):
             assert truncated_mean(TruncatedPoisson(rate, 6)) < rate
-
-    def test_untruncated_moments_equal_rate(self):
-        mean, var = untruncated_mean_variance(3.25)
-        assert mean == 3.25 and var == 3.25
-
-    def test_untruncated_rejects_negative(self):
-        with pytest.raises(DomainError):
-            untruncated_mean_variance(-1.0)
 
 
 class TestCorrectRankingProbability:

@@ -13,10 +13,13 @@ from popbo.errors import (
     PreconditionError,
     TrainingDivergedError,
 )
+from popbo.poisson import TruncatedPoisson, log_partial_exp_sum, truncated_mean
 from popbo.surrogate import (
+    TRUNCATION_SWITCH_N,
     IntensityModel,
     ObservationSet,
     TrainConfig,
+    _normalizer,
     compute_ranks,
     fit,
     grad_log_likelihood,
@@ -245,6 +248,22 @@ class TestLogLikelihood:
                 assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
+class TestNormalizer:
+    def test_truncated_normalizer_matches_single_sums_bitwise(self):
+        # Below the switch: log S(N-1) and S(N-2)/S(N-1) from one term matrix,
+        # each bitwise the separately computed partial sum.
+        rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
+        for n_obs in range(2, TRUNCATION_SWITCH_N):
+            norm, norm_grad = _normalizer(rates, n_obs)
+            log_s = log_partial_exp_sum(rates, n_obs - 1)
+            np.testing.assert_array_equal(norm, log_s)
+            np.testing.assert_array_equal(
+                norm_grad, np.exp(log_partial_exp_sum(rates, n_obs - 2) - log_s))
+        norm, norm_grad = _normalizer(rates, TRUNCATION_SWITCH_N)
+        np.testing.assert_array_equal(norm, rates)
+        np.testing.assert_array_equal(norm_grad, np.ones_like(rates))
+
+
 class TestParameterGradient:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_central_differences(self, seed):
@@ -343,10 +362,15 @@ class TestPredict:
         post = predict(model, [0.5], n_obs=7)
         assert post.pmf.size == 8
 
-    def test_regime_override(self):
-        model = constant_rate_model(1, RATE_ONE_BIAS)
-        forced = predict(model, [0.5], n_obs=5, use_truncated=False)
-        assert math.isclose(forced.mean, 1.0, rel_tol=1e-12)
+    def test_regime_switches_at_truncation_constant(self):
+        model = constant_rate_model(1, math.log(math.expm1(8.0)))  # rate 8
+        below = predict(model, [0.5], n_obs=TRUNCATION_SWITCH_N - 1)
+        at = predict(model, [0.5], n_obs=TRUNCATION_SWITCH_N)
+        assert below.pmf.size == TRUNCATION_SWITCH_N
+        expected = truncated_mean(TruncatedPoisson(8.0, TRUNCATION_SWITCH_N - 1))
+        assert math.isclose(below.mean, expected, rel_tol=1e-12)
+        assert below.mean < 7.9
+        assert math.isclose(at.mean, 8.0, rel_tol=1e-12)
 
     def test_rejects_point_outside_cube(self):
         model = constant_rate_model(1, RATE_ONE_BIAS)

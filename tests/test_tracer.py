@@ -12,6 +12,7 @@ import pytest
 
 import popbo.engine as engine
 from popbo.acquisition import AcquisitionConfig, propose_next
+from popbo.harness import ExperimentConfig, run_experiment
 from popbo.space import ContinuousSpace
 from popbo.surrogate import IntensityModel, ObservationSet
 
@@ -46,3 +47,18 @@ def test_propose_next_runs_traced(tracer, kind, n_obs):
     # needs a log-sum-exp, taken in poisson.
     assert metrics["acquisition.logsumexp_calls"] == 0
     assert ("poisson.logsumexp" in {span[0] for span in spans.spans}) == (n_obs < 12)
+
+
+def test_run_experiment_loop_runs_traced(tracer, tmp_path):
+    # The loop must reach fit and propose_next through engine's module
+    # globals, and run through harness.run, or these counts drop to zero.
+    cfg = ExperimentConfig(benchmark="branin", method="popbo-rlcb", seeds=(0,),
+                           n_init=4, n_iters=2, out_dir=str(tmp_path))
+    with tracer.Tracer().installed() as spans:
+        written = run_experiment(cfg)
+
+    assert len(written) == 2
+    metrics = spans.layer_metrics(cfg.n_iters)
+    assert metrics["surrogate.fit_calls"] == 2
+    assert spans.proposals == 2
+    assert "engine.run" in {span[0] for span in spans.spans}
