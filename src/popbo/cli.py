@@ -33,7 +33,10 @@ def _parse_seeds(text: str) -> tuple:
 
 def _load_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise InputError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise OSError(f"cannot read config file {path}")
     if not parser.has_section(_CONFIG_SECTION):
@@ -42,13 +45,19 @@ def _load_config_file(path: str) -> dict:
     out: dict = {}
     for key in section:
         if key in _STR_KEYS:
-            out[key] = section.get(key)
+            convert, kind = section.get, "a string with '%' written '%%'"
         elif key in _INT_KEYS:
-            out[key] = section.getint(key)
+            convert, kind = section.getint, "an integer"
         elif key in _FLOAT_KEYS:
-            out[key] = section.getfloat(key)
+            convert, kind = section.getfloat, "a number"
         else:
             raise DomainError(f"unknown config key {key!r} in {path}")
+        try:
+            out[key] = convert(key)
+        except (ValueError, configparser.Error):
+            value = section.get(key, raw=True)
+            raise InputError(f"config key {key!r} in {path} must be {kind}, "
+                             f"got {value!r}") from None
     return out
 
 

@@ -12,7 +12,6 @@ only fields that may differ between reruns of the same config and seed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,6 +225,10 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
     written = []
     if cfg.workers > 1:
+        # Imported only here, so single-process runs never load
+        # multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_run_one, cfg, objective, benchmark_label, n_init, s)
                        for s in cfg.seeds]

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, InputError, PreconditionError, TrainingDivergedError
 from .poisson import (
@@ -67,6 +66,20 @@ DEFAULT_HIDDEN = (128, 128, 128)
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+
+
+def _expit(t: float) -> float:
+    """Logistic sigmoid 1 / (1 + exp(-t)) of one float.
+
+    The formula scipy.special.expit evaluates, on the C library's exp
+    through math.exp, so the bits are the same as scipy's; numpy's SIMD exp
+    differs from it in the last bit.  exp(-t) overflows only when the
+    sigmoid rounds to 0.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:
+        return 0.0
 
 
 def compute_ranks(values) -> np.ndarray:
@@ -248,17 +261,17 @@ class IntensityModel:
             raise InputError("non-finite inputs")
         return self._forward(x)[0]
 
-    def _backward(self, caches, d_rates: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def _backward(self, caches, d_rates: np.ndarray, grad_w: list, grad_b: list):
         """Parameter gradients of sum_j d_rates[j] * rate_j.
 
         Args:
             caches: the second element returned by _forward.
             d_rates: (n,) upstream derivative with respect to each rate.
-            grad: flat buffer shaped like params; overwritten and returned.
+            grad_w, grad_b: per-layer views (from _views) of a flat buffer
+                shaped like params; overwritten.
         """
         inputs, pre_acts, z = caches
-        grad_w, grad_b = self._views(grad)
-        delta = (d_rates * expit(z))[:, None]
+        delta = (d_rates * np.array([_expit(t) for t in z.tolist()]))[:, None]
         np.matmul(inputs[-1].T, delta, out=grad_w[-1])
         delta.sum(axis=0, out=grad_b[-1])
         downstream = delta @ self.weights[-1].T
@@ -268,7 +281,6 @@ class IntensityModel:
             delta.sum(axis=0, out=grad_b[layer])
             if layer > 0:
                 downstream = delta @ self.weights[layer].T
-        return grad
 
     def rate_and_input_grad(self, x):
         """Rate at a single point and its gradient with respect to x.
@@ -283,7 +295,7 @@ class IntensityModel:
         if x.shape[1] != self.dim:
             raise InputError(f"expected {self.dim} coordinates, got {x.shape[1]}")
         rates, (inputs, pre_acts, z) = self._forward(x)
-        v = expit(z[0]) * self.weights[-1][:, 0]
+        v = _expit(float(z[0])) * self.weights[-1][:, 0]
         for layer in range(len(self.weights) - 2, -1, -1):
             v = self.weights[layer] @ (v * (pre_acts[layer][0] > 0.0))
         return float(rates[0]), v
@@ -302,10 +314,11 @@ def _normalizer(rates: np.ndarray, n_obs: int):
     """Per-point log-normalizer and its derivative with respect to the rate.
 
     Below the switch these are log S(N-1) and S(N-2)/S(N-1), from one term
-    matrix; at or above it the plain Poisson exponent (the rate itself) and 1.
+    matrix; at or above it the plain Poisson exponent (the rate itself) and
+    the scalar 1.0, which broadcasts like an array of ones.
     """
     if n_obs >= TRUNCATION_SWITCH_N:
-        return rates, np.ones_like(rates)
+        return rates, 1.0
     log_s1, log_s2 = log_partial_exp_sums(partial_sum_log_terms(rates, n_obs - 1), 2)
     return log_s1, np.exp(log_s2 - log_s1)
 
@@ -346,7 +359,9 @@ def grad_log_likelihood(model: IntensityModel, obs: ObservationSet):
     _require_fittable(obs)
     rates, caches = model._forward(obs.points)
     d_rates = rate_gradient(rates, obs.ranks, len(obs))
-    return model._views(model._backward(caches, d_rates, np.empty_like(model.params)))
+    grad_w, grad_b = model._views(np.empty_like(model.params))
+    model._backward(caches, d_rates, grad_w, grad_b)
+    return grad_w, grad_b
 
 
 def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
@@ -382,6 +397,7 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
     nll_start = -log_likelihood(model, obs)
     start = model.params.copy()
     adam = _Adam(model.params)
+    grad_w, grad_b = model._views(adam.grad)
 
     perm = np.empty(0, dtype=np.int64)
     pos = 0
@@ -395,11 +411,11 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
         rates, caches = model._forward(obs.points[idx])
         ranks = obs.ranks[idx]
         norm, norm_grad = _normalizer(rates, n)
-        loss = -float(_ll_terms(rates, ranks, norm).mean())
-        if not math.isfinite(loss):
+        # The sum is finite exactly when the mean loss is.
+        if not math.isfinite(float(_ll_terms(rates, ranks, norm).sum())):
             raise TrainingDivergedError(step)
         d_rates = ranks / rates - norm_grad
-        model._backward(caches, -d_rates / idx.size, adam.grad)
+        model._backward(caches, -d_rates / idx.size, grad_w, grad_b)
         adam.step(cfg.initial_lr * cfg.lr_decay ** (step // cfg.decay_every), step + 1)
 
     nll_end = -log_likelihood(model, obs)

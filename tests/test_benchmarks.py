@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from popbo.benchmarks import (
     BENCHMARK_NAMES,
@@ -11,6 +12,8 @@ from popbo.benchmarks import (
     FORRESTER_MIN,
     HARTMANN6_MIN,
     TabularBenchmark,
+    _average_ranks,
+    _spearman,
     branin,
     evaluate,
     forrester,
@@ -213,6 +216,24 @@ class TestTabularBenchmark:
         # evaluate is an exact lookup, so a noise level could only be dropped.
         with pytest.raises(TypeError):
             TabularBenchmark("t", ["a"], [[0.0], [1.0]], [0.5, 0.25], noise_sigma=0.5)
+
+
+class TestSpearman:
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_scipy(self, ties):
+        rng = np.random.default_rng(11 + ties)
+        for _ in range(300):
+            n = int(rng.integers(3, 120))
+            a, b = rng.normal(size=n), rng.normal(size=n)
+            if ties:
+                a, b = np.round(a, 1), rng.integers(0, 4, size=n).astype(float)
+                if np.ptp(b) == 0.0 or np.ptp(a) == 0.0:
+                    continue
+            assert abs(_spearman(a, b) - spearmanr(a, b).statistic) <= 1e-12
+
+    def test_average_ranks_are_one_based_with_ties_averaged(self):
+        np.testing.assert_array_equal(_average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0])),
+                                      [4.0, 1.0, 4.0, 2.0, 4.0])
 
 
 class TestForresterRankingStudy:

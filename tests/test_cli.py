@@ -132,6 +132,27 @@ class TestConfigFile:
         ini = self.write_ini(tmp_path, "[other]\nbenchmark = branin\n")
         assert main(["--config", ini]) == 2
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("iters", "abc", "an integer"),
+        ("workers", "1.5", "an integer"),
+        ("q", "high", "a number"),
+        ("out", "100%", "'%%'"),
+    ])
+    def test_unconvertible_value_is_usage_error(self, tmp_path, capsys, key, value, kind):
+        ini = self.write_ini(tmp_path, "\n".join([
+            "[popbo]", "benchmark = branin", "method = random-search",
+            f"{key} = {value}"]))
+        assert main(["--config", ini]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{key!r}" in err and f"{value!r}" in err and kind in err
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_malformed_file_is_usage_error(self, tmp_path, capsys):
+        ini = self.write_ini(tmp_path, "benchmark = branin\n")
+        assert main(["--config", ini]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed config file")
+
 
 class TestEnvironment:
     def test_out_dir_from_env(self, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit as scipy_expit
 
 from popbo.errors import (
     DomainError,
@@ -19,6 +20,7 @@ from popbo.surrogate import (
     IntensityModel,
     ObservationSet,
     TrainConfig,
+    _expit,
     _normalizer,
     compute_ranks,
     fit,
@@ -246,6 +248,32 @@ class TestLogLikelihood:
                 fd = (term(rates[j] + h, int(ranks[j]))
                       - term(rates[j] - h, int(ranks[j]))) / (2.0 * h)
                 assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def expit_corpus(seed=0, count=200_000):
+    """Seeded floats at every scale, then signed zeros, tiny, overflow and inf."""
+    rng = np.random.default_rng(seed)
+    scales = rng.choice([1e-3, 1.0, 10.0, 100.0, 1000.0], size=count)
+    extremes = [0.0, 1e-300, 709.0, 710.0, 800.0, np.inf]
+    return np.concatenate([rng.normal(size=count) * scales,
+                           extremes, np.negative(extremes)]).tolist()
+
+
+class TestExpit:
+    def test_bitwise_equal_to_scipy(self):
+        values = expit_corpus()
+        ours = np.array([_expit(t) for t in values])
+        ref = scipy_expit(np.array(values))
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_edge_values(self):
+        assert _expit(0.0) == 0.5 and _expit(-0.0) == 0.5
+        assert _expit(800.0) == 1.0 and _expit(np.inf) == 1.0
+        assert _expit(-800.0) == 0.0 and _expit(-np.inf) == 0.0
+        assert math.isnan(_expit(math.nan))
+
+    def test_numpy_scalar_input(self):
+        assert _expit(np.float64(-3.25)) == scipy_expit(-3.25)
 
 
 class TestNormalizer:
