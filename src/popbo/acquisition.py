@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError, RectifiedRegionError
 # Unused but bound: perfbench/tracer.py patches log_factorials, log_partial_exp_sum, logsumexp.
 from .poisson import (log_factorials, log_partial_exp_sum, log_partial_exp_sums, logsumexp,
-                      partial_sum_log_terms)
+                      partial_sum_log_terms, truncated_means)
 from .space import ContinuousSpace, DiscreteSpace
 from .surrogate import TRUNCATION_SWITCH_N, IntensityModel, ObservationSet
 
@@ -97,13 +97,7 @@ def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig, drate: bool =
     rates = np.asarray(rates, dtype=float)
     plain = n_obs >= TRUNCATION_SWITCH_N
     if cfg.kind == "r-lcb":
-        mu, dmu = rates, 1.0
-        if not plain:
-            log_s = log_partial_exp_sums(partial_sum_log_terms(rates, n_obs), 3 if drate else 2)
-            ratio = np.exp(log_s[1] - log_s[0])
-            mu = rates * ratio
-            if drate:  # S'(m) = S(m-1)
-                dmu = ratio + rates * (np.exp(log_s[2] - log_s[0]) - ratio * ratio)
+        mu, dmu = (rates, 1.0) if plain else truncated_means(rates, n_obs, drate)
         root = np.sqrt(mu)
         values = root * (root - cfg.beta)
         if not drate:
@@ -141,7 +135,7 @@ def r_lcb(rate: float, n_obs: int, cfg: AcquisitionConfig, eps: float) -> tuple[
     """Rectified LCB: the LCB below the rate threshold q * n_obs, else eps.
 
     Args:
-        rate: predicted rate, >= 0.
+        rate: predicted rate, finite and >= 0.
         n_obs: number of observed points.
         cfg: supplies q and beta.
         eps: caller-supplied uniform draw in [0, 1], passed through when the
@@ -150,8 +144,9 @@ def r_lcb(rate: float, n_obs: int, cfg: AcquisitionConfig, eps: float) -> tuple[
     Returns:
         (value, rectified flag).
     """
+    value = lcb(rate, n_obs, cfg.beta)  # DomainError unless the rate is finite and >= 0
     if rate < cfg.q * n_obs:
-        return lcb(rate, n_obs, cfg.beta), False
+        return value, False
     return float(eps), True
 
 

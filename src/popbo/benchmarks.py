@@ -31,7 +31,6 @@ from .surrogate import (
 __all__ = [
     "BenchmarkFunction",
     "TabularBenchmark",
-    "evaluate",
     "get_benchmark",
     "forrester_ranking_study",
     "BENCHMARK_NAMES",
@@ -136,26 +135,22 @@ class BenchmarkFunction:
         return self.denormalize(x_norm)
 
     def evaluate(self, x_normalized, rng: np.random.Generator | None = None) -> float:
-        return evaluate(self, x_normalized, rng)
+        """Observe the objective at a normalized point, with noise when configured.
 
-
-def evaluate(fn: BenchmarkFunction, x_normalized, rng: np.random.Generator | None = None) -> float:
-    """Observe the objective at a normalized point, with noise when configured.
-
-    The noise draw comes from the supplied run RNG and is taken only when
-    noise_sigma > 0, so noiseless runs consume no randomness here.
-    """
-    x = np.asarray(x_normalized, dtype=float).reshape(-1)
-    if x.size != fn.dim:
-        raise DomainError(f"expected {fn.dim} coordinates, got {x.size}")
-    if not np.isfinite(x).all() or x.min() < 0.0 or x.max() > 1.0:
-        raise DomainError("x must lie in the unit hypercube")
-    y = float(fn.fn(fn.denormalize(x)))
-    if fn.noise_sigma > 0.0:
-        if rng is None:
-            raise InputError("rng required when noise_sigma > 0")
-        y += rng.normal(0.0, fn.noise_sigma)
-    return y
+        The noise draw comes from the supplied run RNG and is taken only when
+        noise_sigma > 0, so noiseless runs consume no randomness here.
+        """
+        x = np.asarray(x_normalized, dtype=float).reshape(-1)
+        if x.size != self.dim:
+            raise DomainError(f"expected {self.dim} coordinates, got {x.size}")
+        if not np.isfinite(x).all() or x.min() < 0.0 or x.max() > 1.0:
+            raise DomainError("x must lie in the unit hypercube")
+        y = float(self.fn(self.denormalize(x)))
+        if self.noise_sigma > 0.0:
+            if rng is None:
+                raise InputError("rng required when noise_sigma > 0")
+            y += rng.normal(0.0, self.noise_sigma)
+        return y
 
 
 def get_benchmark(name: str, noise_sigma: float = 0.0) -> BenchmarkFunction:

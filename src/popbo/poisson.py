@@ -6,9 +6,11 @@ distribution restricted to the support {0, ..., max_rank}:
     pmf(k) = (rate^k / k!) / S(max_rank),   S(m) = sum_{i=0..m} rate^i / i!
 
 The exp(-rate) factor of the plain Poisson cancels between numerator and
-normalizer, so it is never evaluated.  All arithmetic runs in log space
-(cumulative log-factorial table, log-sum-exp for S) so that rates up to 1e4
-neither overflow nor lose the small-probability tail.
+normalizer, so it is never evaluated.  All arithmetic runs in log space so
+that rates up to 1e4 neither overflow nor lose the small-probability tail.
+Every normalizer and mean (fit, likelihood, acquisition, truncated_mean) is
+read off one term matrix, log(rate^i / i!) for i = 0..m, by
+log_partial_exp_sums; pmf_vector is the one pmf the library reports.
 
 Everything here is pure and stateless: no learning, no I/O, no hidden RNG.
 """
@@ -27,9 +29,9 @@ __all__ = [
     "TruncatedPoisson",
     "RankPosterior",
     "pmf",
-    "log_pmf",
     "pmf_vector",
     "truncated_mean",
+    "truncated_means",
     "correct_ranking_probability",
     "log_factorials",
     "log_partial_exp_sum",
@@ -212,62 +214,52 @@ class RankPosterior:
         object.__setattr__(self, "stddev", float(self.stddev))
 
 
-def _check_k(dist: TruncatedPoisson, k: int) -> int:
+def pmf(dist: TruncatedPoisson, k: int) -> float:
+    """Probability that the rank equals k in [0, max_rank]; other k raise DomainError."""
     if not isinstance(k, (int, np.integer)):
         raise DomainError(f"rank k must be an integer, got {k!r}")
     if k < 0 or k > dist.max_rank:
         raise DomainError(f"rank k={k} outside support [0, {dist.max_rank}]")
-    return int(k)
-
-
-def log_pmf(dist: TruncatedPoisson, k: int) -> float:
-    """log pmf(k) of the truncated distribution; -inf when rate = 0 and k > 0."""
-    k = _check_k(dist, k)
-    if dist.rate == 0.0:
-        return 0.0 if k == 0 else -np.inf
-    lf = log_factorials(max(k, 0))
-    log_s = log_partial_exp_sum(dist.rate, dist.max_rank)
-    return k * math.log(dist.rate) - float(lf[k]) - log_s
-
-
-def pmf(dist: TruncatedPoisson, k: int) -> float:
-    """Probability that the candidate's rank equals k.
-
-    Args:
-        dist: the truncated distribution.
-        k: rank in [0, dist.max_rank]; anything outside raises DomainError.
-
-    Returns:
-        (rate^k / k!) / S(max_rank), evaluated in log space.
-    """
-    return float(math.exp(log_pmf(dist, k)))
+    return float(pmf_vector(dist.rate, dist.max_rank)[k])
 
 
 def pmf_vector(rate: float, max_rank: int) -> np.ndarray:
-    """Full pmf over the support {0, ..., max_rank} as an array."""
+    """Full pmf over the support {0, ..., max_rank} as an array.
+
+    The steps log p_k - log p_{k-1} = log(rate / k) are summed outward from
+    the mode, so the log terms stay small where the mass lies (the terms
+    k log(rate) - log k! reach 1e5 at rate 1e4, where their rounding shifts
+    the mean by 3e-9).  At rate 0 every step is -inf: all mass sits on rank 0.
+    """
     dist = TruncatedPoisson(rate, max_rank)
-    ks = np.arange(dist.max_rank + 1, dtype=float)
-    if dist.rate == 0.0:
-        out = np.zeros(dist.max_rank + 1)
-        out[0] = 1.0
-        return out
-    lf = log_factorials(dist.max_rank)
-    log_s = log_partial_exp_sum(dist.rate, dist.max_rank)
-    log_p = ks * math.log(dist.rate) - lf - log_s
-    return np.exp(log_p)
+    mode = min(int(dist.rate), dist.max_rank)
+    with np.errstate(divide="ignore"):
+        steps = np.log(dist.rate / np.arange(1, dist.max_rank + 1, dtype=float))
+    log_p = np.zeros(dist.max_rank + 1)
+    log_p[mode + 1:] = np.cumsum(steps[mode:])
+    log_p[:mode] = -np.cumsum(steps[:mode][::-1])[::-1]
+    return np.exp(log_p - logsumexp(log_p))
+
+
+def truncated_means(rates: np.ndarray, max_rank: int, slope: bool = False):
+    """(means, slopes) per rate from one term matrix; slopes None unless slope.
+
+    mean = rate * ratio with ratio = S(m-1) / S(m), m = max_rank, and, as
+    S'(m) = S(m-1), slope = ratio + rate * (S(m-2) / S(m) - ratio^2).
+    log S(-1) = -inf makes the mean 0 at max_rank 0, as rate 0 does.
+    """
+    log_s = log_partial_exp_sums(partial_sum_log_terms(rates, max_rank), 3 if slope else 2)
+    ratio = np.exp(log_s[1] - log_s[0])
+    means = rates * ratio
+    if not slope:
+        return means, None
+    return means, ratio + rates * (np.exp(log_s[2] - log_s[0]) - ratio * ratio)
 
 
 def truncated_mean(dist: TruncatedPoisson) -> float:
-    """Expectation of the truncated distribution.
-
-    Equals rate * S(max_rank - 1) / S(max_rank); 0 when max_rank = 0 (all mass
-    is pinned at rank 0) or rate = 0.
-    """
-    if dist.max_rank == 0 or dist.rate == 0.0:
-        return 0.0
-    log_num = log_partial_exp_sum(dist.rate, dist.max_rank - 1)
-    log_den = log_partial_exp_sum(dist.rate, dist.max_rank)
-    return float(dist.rate * math.exp(log_num - log_den))
+    """Expectation of the truncated distribution: truncated_means at one rate."""
+    means, _ = truncated_means(np.array([dist.rate]), dist.max_rank)
+    return float(means[0])
 
 
 def correct_ranking_probability(gap: float, noise_sigma: float) -> float:

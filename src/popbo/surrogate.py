@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InputError, PreconditionError, TrainingDivergedError
+# log_partial_exp_sum is unused but bound: perfbench/tracer.py patches it.
 from .poisson import (
     RankPosterior,
     TruncatedPoisson,
@@ -345,9 +346,7 @@ def log_likelihood(model: IntensityModel, obs: ObservationSet) -> float:
     """
     _require_fittable(obs)
     rates = model.rates(obs.points)
-    n = len(obs)
-    norm = rates if n >= TRUNCATION_SWITCH_N else log_partial_exp_sum(rates, n - 1)
-    return float(np.sum(_ll_terms(rates, obs.ranks, norm)))
+    return float(np.sum(_ll_terms(rates, obs.ranks, _normalizer(rates, len(obs))[0])))
 
 
 def grad_log_likelihood(model: IntensityModel, obs: ObservationSet):
@@ -485,16 +484,11 @@ def predict(model: IntensityModel, x, n_obs: int) -> RankPosterior:
         probs = pmf_vector(rate, n_obs)
         mean = truncated_mean(TruncatedPoisson(rate, n_obs))
     else:
+        # The plain law is the truncated one on a support wide enough that
+        # the discarded tail is far below the 1e-12 mass tolerance.
+        probs = pmf_vector(rate, int(math.ceil(rate + 40.0 * math.sqrt(rate) + 50.0)))
         mean = rate
-        if rate == 0.0:
-            probs = np.ones(1)
-        else:
-            # Support wide enough that the discarded plain-Poisson tail is
-            # far below the 1e-12 mass tolerance.
-            top = int(math.ceil(rate + 40.0 * math.sqrt(rate) + 50.0))
-            ks = np.arange(top + 1, dtype=float)
-            probs = np.exp(ks * math.log(rate) - rate - log_factorials(top))
-    return RankPosterior(pmf=probs, mean=float(mean), stddev=math.sqrt(float(mean)))
+    return RankPosterior(pmf=probs, mean=mean, stddev=math.sqrt(mean))
 
 
 def pack_arrays(weights, biases) -> np.ndarray:

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import chi2
 
 from conftest import record_criterion
@@ -230,6 +231,7 @@ def test_criterion_7_one_dim_ranking_fidelity():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion_8_beats_random_search():
     t0 = time.perf_counter()
     seeds = range(10)

@@ -17,13 +17,7 @@ from popbo.acquisition import (
     r_lcb,
 )
 from popbo.errors import DomainError, PreconditionError, RectifiedRegionError
-from popbo.poisson import (
-    TruncatedPoisson,
-    log_factorials,
-    log_partial_exp_sum,
-    logsumexp,
-    truncated_mean,
-)
+from popbo.poisson import log_factorials, log_partial_exp_sum, logsumexp
 from popbo.space import ContinuousSpace, DiscreteSpace
 from popbo.surrogate import IntensityModel, ObservationSet
 
@@ -126,6 +120,12 @@ class TestRectifiedLcb:
         assert switch_points == 1
         assert not flags[0] and flags[-1]
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_rejects_invalid_rate(self, rate):
+        # An invalid rate is an error, as in lcb and eri, not a rectified point.
+        with pytest.raises(DomainError):
+            r_lcb(rate, n_obs=5, cfg=AcquisitionConfig(), eps=0.3)
+
 
 class TestEri:
     def test_zero_rate_attains_k_max(self):
@@ -203,6 +203,13 @@ def ref_eri_values(rates, n_obs, k_max, switch):
     return np.where(rates == 0.0, float(k_max), out)
 
 
+def ref_mean(rate, max_rank):
+    if max_rank == 0:
+        return 0.0
+    return rate * math.exp(log_partial_exp_sum(rate, max_rank - 1)
+                           - log_partial_exp_sum(rate, max_rank))
+
+
 def ref_dmean_drate(rate, max_rank):
     if max_rank == 0:
         return 0.0
@@ -262,8 +269,7 @@ class TestClosedForm:
         rates = np.array(rates)
         cfg = AcquisitionConfig(kind="r-lcb", beta=beta)
         values, slopes = objective_and_drate(rates, n_obs, cfg)
-        mu = np.array([r if n_obs >= 12 else truncated_mean(TruncatedPoisson(r, n_obs))
-                       for r in rates])
+        mu = np.array([r if n_obs >= 12 else ref_mean(float(r), n_obs) for r in rates])
         dmu = np.array([1.0 if n_obs >= 12 else ref_dmean_drate(float(r), n_obs)
                         for r in rates])
         assert_rel_close(values, np.sqrt(mu) * (np.sqrt(mu) - beta), 1e-11)

@@ -15,7 +15,6 @@ from popbo.benchmarks import (
     _average_ranks,
     _spearman,
     branin,
-    evaluate,
     forrester,
     forrester_ranking_study,
     get_benchmark,
@@ -99,35 +98,35 @@ class TestEvaluate:
     def test_matches_closed_form(self):
         bench = get_benchmark("branin")
         x = np.array([0.3, 0.7])
-        assert evaluate(bench, x) == branin(bench.denormalize(x))
+        assert bench.evaluate(x) == branin(bench.denormalize(x))
 
     def test_outside_cube_rejected(self):
         bench = get_benchmark("branin")
         with pytest.raises(DomainError):
-            evaluate(bench, [1.1, 0.5])
+            bench.evaluate([1.1, 0.5])
         with pytest.raises(DomainError):
-            evaluate(bench, [0.5, -0.1])
+            bench.evaluate([0.5, -0.1])
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(DomainError):
-            evaluate(get_benchmark("branin"), [0.5])
+            get_benchmark("branin").evaluate([0.5])
 
     def test_noiseless_consumes_no_randomness(self):
         bench = get_benchmark("branin")
         rng = np.random.default_rng(5)
-        evaluate(bench, [0.2, 0.2], rng)
+        bench.evaluate([0.2, 0.2], rng)
         untouched = np.random.default_rng(5)
         assert rng.uniform() == untouched.uniform()
 
     def test_noise_requires_rng(self):
         noisy = get_benchmark("branin", noise_sigma=0.5)
         with pytest.raises(InputError):
-            evaluate(noisy, [0.2, 0.2])
+            noisy.evaluate([0.2, 0.2])
 
     def test_noise_is_seeded_and_additive(self):
         noisy = get_benchmark("branin", noise_sigma=0.5)
         x = np.array([0.2, 0.2])
-        y = evaluate(noisy, x, np.random.default_rng(7))
+        y = noisy.evaluate(x, np.random.default_rng(7))
         expected = branin(noisy.denormalize(x)) \
             + np.random.default_rng(7).normal(0.0, 0.5)
         assert y == expected

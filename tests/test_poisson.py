@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from popbo.errors import DomainError
@@ -19,6 +21,7 @@ from popbo.poisson import (
     pmf,
     pmf_vector,
     truncated_mean,
+    truncated_means,
 )
 
 
@@ -153,6 +156,35 @@ class TestMoments:
         # Truncation removes high ranks, so the mean cannot exceed the rate.
         for rate in (0.5, 2.0, 10.0):
             assert truncated_mean(TruncatedPoisson(rate, 6)) < rate
+
+
+RATE = st.floats(0.0, 1e4)
+MAX_RANK = st.integers(0, 40)
+
+
+class TestPmfProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(RATE, MAX_RANK)
+    def test_mass_is_one(self, rate, max_rank):
+        assert abs(pmf_vector(rate, max_rank).sum() - 1.0) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATE, MAX_RANK)
+    def test_mean_is_expectation_and_bounded(self, rate, max_rank):
+        mean = truncated_mean(TruncatedPoisson(rate, max_rank))
+        p = pmf_vector(rate, max_rank)
+        assert abs(mean - float(np.dot(np.arange(max_rank + 1), p))) <= 1e-10
+        # Exact in real arithmetic; S(m-1) / S(m) can round a few ulp above 1.
+        assert mean <= min(rate, max_rank) * (1.0 + 1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATE, MAX_RANK, st.data())
+    def test_scalar_entries_are_vector_entries(self, rate, max_rank, data):
+        dist = TruncatedPoisson(rate, max_rank)
+        k = data.draw(st.integers(0, max_rank))
+        assert pmf(dist, k) == pmf_vector(rate, max_rank)[k]
+        means, _ = truncated_means(np.array([rate]), max_rank)
+        assert truncated_mean(dist) == means[0]
 
 
 class TestCorrectRankingProbability:

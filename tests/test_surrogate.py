@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit as scipy_expit
+from scipy.stats import poisson
 
 from popbo.errors import (
     DomainError,
@@ -404,6 +405,27 @@ class TestPredict:
         model = constant_rate_model(1, RATE_ONE_BIAS)
         with pytest.raises(DomainError):
             predict(model, [1.5], n_obs=3)
+
+    @pytest.mark.parametrize("rate", [0.5, 8.0, 300.0, 1e4])
+    def test_plain_posterior_is_poisson(self, rate):
+        bias = rate if rate > 30.0 else math.log(math.expm1(rate))
+        post = predict(constant_rate_model(1, bias), [0.5], n_obs=TRUNCATION_SWITCH_N)
+        ks = np.arange(post.pmf.size)
+        np.testing.assert_allclose(post.pmf, poisson.pmf(ks, rate), rtol=1e-10, atol=1e-300)
+        assert poisson.sf(ks[-1], rate) < 1e-12
+
+    @pytest.mark.parametrize("bias,n_obs,mean", [
+        (-800.0, 5, 0.0),  # softplus underflows to rate 0, truncated
+        (-800.0, 20, 0.0),  # rate 0, plain
+        (RATE_ONE_BIAS, 0, 0.0),  # no observations: rank 0 is certain
+        (1e4, 12, 1e4),  # softplus(1e4) = 1e4, plain
+        (1e4, 50, 1e4),
+    ])
+    def test_edge_posteriors(self, bias, n_obs, mean):
+        post = predict(constant_rate_model(1, bias), [0.5], n_obs=n_obs)
+        assert abs(post.pmf.sum() - 1.0) <= 1e-12
+        assert math.isclose(post.mean, mean, rel_tol=1e-12)
+        assert post.stddev == math.sqrt(post.mean)
 
 
 class TestSerialization:
