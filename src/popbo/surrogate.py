@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InputError, PreconditionError, TrainingDivergedError
-# log_partial_exp_sum is unused but bound: perfbench/tracer.py patches it.
+# Unused but bound: perfbench/tracer.py patches log_partial_exp_sum.
 from .poisson import (
     RankPosterior,
     TruncatedPoisson,
