@@ -46,21 +46,23 @@ _LBFGS_MAX_ITER = 50
 _LBFGS_GTOL = 1e-6
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 30
+_RESTARTS = 10
+_DISCRETE_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
-    """Knobs of the acquisition and its optimizer.
+    """Acquisition settings and the proposer's random stream.
 
-    q defaults by kind (0.6 for r-lcb, 0.4 for eri) when left as None.
+    q defaults by kind (0.6 for r-lcb, 0.4 for eri) when left as None.  The
+    proposer's own budget is fixed: _RESTARTS descents on continuous spaces,
+    _DISCRETE_SAMPLES candidates on discrete ones.
     """
 
     kind: str = "r-lcb"
     beta: float = 1.0
     q: float | None = None
     k_max: int = 5
-    restarts: int = 10
-    discrete_samples: int = 1000
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -74,8 +76,6 @@ class AcquisitionConfig:
         object.__setattr__(self, "q", float(q))
         if self.k_max < 0:
             raise DomainError(f"k_max must be >= 0, got {self.k_max}")
-        if self.restarts < 1 or self.discrete_samples < 1:
-            raise DomainError("restarts and discrete_samples must be >= 1")
 
 
 def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig, drate: bool = True):
@@ -89,7 +89,8 @@ def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig, drate: bool =
     dp_j/dr = p_{j-1} - rho p_j with rho = d log Z / dr (1 plain,
     1 - p_{n_obs} truncated), dERI/dr = (1 - rho) * ERI - F_{k_max-1}.
     Each p_j is one exp of a log-space term, so every finite rate >= 0
-    gives finite results.  k_max <= n_obs; rectification is the caller's.
+    gives finite results.  eri's k_max <= n_obs is checked here and nowhere
+    else in this module; rectification is the caller's.
 
     Returns:
         (values, slopes), slopes None unless drate.
@@ -105,6 +106,8 @@ def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig, drate: bool =
         with np.errstate(divide="ignore", invalid="ignore"):
             return values, np.where(mu > 0.0, (1.0 - cfg.beta / (2.0 * root)) * dmu, 0.0)
 
+    if cfg.k_max > n_obs:
+        raise DomainError(f"k_max={cfg.k_max} exceeds n_obs={n_obs}")
     if cfg.k_max == 0:
         zeros = np.zeros_like(rates)
         return zeros, zeros if drate else None
@@ -154,11 +157,8 @@ def eri(rate: float, n_obs: int, k_max: int) -> float:
     """Expected ranking improvement over the worst tolerable rank k_max.
 
     This is an improvement, i.e. larger is better; the proposal optimizer
-    minimizes its negation.  k_max may not exceed n_obs: ranks beyond the
-    support carry no mass, so such a call is a misconfiguration.
+    minimizes its negation.  k_max may not exceed n_obs.
     """
-    if k_max > n_obs:
-        raise DomainError(f"k_max={k_max} exceeds n_obs={n_obs}")
     return -_objective_at(rate, n_obs, AcquisitionConfig(kind="eri", k_max=k_max))
 
 
@@ -172,8 +172,6 @@ def grad_acquisition(model: IntensityModel, x, cfg: AcquisitionConfig, n_obs: in
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.min() < 0.0 or x.max() > 1.0:
         raise DomainError("x must lie in the unit hypercube")
-    if cfg.kind == "eri" and cfg.k_max > n_obs:
-        raise DomainError(f"k_max={cfg.k_max} exceeds n_obs={n_obs}")
     rate, grad = _rate_and_objective_grad(model, x, cfg, n_obs)
     threshold = cfg.q * n_obs
     if rate >= threshold:
@@ -275,9 +273,9 @@ def _descend(model: IntensityModel, x0: np.ndarray, cfg: AcquisitionConfig,
 def _propose_continuous(model: IntensityModel, dim: int, obs_n: int,
                         cfg: AcquisitionConfig) -> np.ndarray:
     threshold = cfg.q * obs_n
-    finals = np.empty((cfg.restarts, dim))
-    values = np.empty(cfg.restarts)
-    for i in range(cfg.restarts):
+    finals = np.empty((_RESTARTS, dim))
+    values = np.empty(_RESTARTS)
+    for i in range(_RESTARTS):
         # Substream per restart: serial and parallel schedules agree bitwise.
         sub = np.random.default_rng([cfg.rng_seed, i])
         x0 = sub.uniform(size=dim)
@@ -292,8 +290,8 @@ def _propose_discrete(model: IntensityModel, space: DiscreteSpace, obs_n: int,
                       cfg: AcquisitionConfig) -> np.ndarray:
     threshold = cfg.q * obs_n
     rng = np.random.default_rng(cfg.rng_seed)
-    idx = rng.integers(0, space.n_candidates, size=cfg.discrete_samples)
-    eps = rng.uniform(size=cfg.discrete_samples)
+    idx = rng.integers(0, space.n_candidates, size=_DISCRETE_SAMPLES)
+    eps = rng.uniform(size=_DISCRETE_SAMPLES)
     pts = space.candidates[idx]
     rates = model.rates(pts)
     raw, _ = objective_and_drate(rates, obs_n, cfg, drate=False)
@@ -305,17 +303,16 @@ def propose_next(model: IntensityModel, space, obs: ObservationSet,
                  cfg: AcquisitionConfig) -> np.ndarray:
     """Next query point minimizing the (rectified) acquisition objective.
 
-    Continuous spaces run cfg.restarts independent descents from uniform
+    Continuous spaces run _RESTARTS independent descents from uniform
     starts; rectified descents contribute their frozen location with their
     eps draw as value.  Discrete spaces take the argmin over
-    cfg.discrete_samples uniformly drawn candidates.  Ties (all rectified
-    with equal eps) fall to the lowest restart/candidate index.
+    _DISCRETE_SAMPLES uniformly drawn candidates.  Ties (all rectified
+    with equal eps) fall to the lowest restart/candidate index.  eri with
+    k_max > len(obs) raises DomainError.
     """
     n_obs = len(obs)
     if n_obs < 1:
         raise PreconditionError("need at least one observation")
-    if cfg.kind == "eri" and cfg.k_max > n_obs:
-        raise DomainError(f"k_max={cfg.k_max} exceeds n_obs={n_obs}")
     if isinstance(space, DiscreteSpace):
         return _propose_discrete(model, space, n_obs, cfg)
     if isinstance(space, ContinuousSpace):

@@ -153,25 +153,29 @@ class BenchmarkFunction:
         return y
 
 
+# name -> (raw box, objective, known minimum, default initial design size).
+_BENCHMARKS = {
+    "forrester": ([[0.0, 0.8]], forrester, FORRESTER_MIN, 12),
+    "branin": ([[-5.0, 10.0], [0.0, 15.0]], branin, BRANIN_MIN, 12),
+    "hartmann6": ([[0.0, 1.0]] * 6, hartmann6, HARTMANN6_MIN, 12),
+    "rosenbrock6": ([[-5.0, 10.0]] * 6, rosenbrock, ROSENBROCK_MIN, 30),
+}
+BENCHMARK_NAMES = tuple(_BENCHMARKS)
+
+
 def get_benchmark(name: str, noise_sigma: float = 0.0) -> BenchmarkFunction:
     """Registry of the built-in objectives."""
     key = str(name).lower()
-    if key == "forrester":
-        return BenchmarkFunction("forrester", 1, [[0.0, 0.8]], forrester,
-                                 FORRESTER_MIN, noise_sigma)
-    if key == "branin":
-        return BenchmarkFunction("branin", 2, [[-5.0, 10.0], [0.0, 15.0]], branin,
-                                 BRANIN_MIN, noise_sigma)
-    if key == "hartmann6":
-        return BenchmarkFunction("hartmann6", 6, [[0.0, 1.0]] * 6, hartmann6,
-                                 HARTMANN6_MIN, noise_sigma)
-    if key == "rosenbrock6":
-        return BenchmarkFunction("rosenbrock6", 6, [[-5.0, 10.0]] * 6, rosenbrock,
-                                 ROSENBROCK_MIN, noise_sigma)
-    raise DomainError(f"unknown benchmark {name!r}")
+    if key not in _BENCHMARKS:
+        raise DomainError(f"unknown benchmark {name!r}")
+    bounds, fn, optimum, _ = _BENCHMARKS[key]
+    return BenchmarkFunction(key, len(bounds), bounds, fn, optimum, noise_sigma)
 
 
-BENCHMARK_NAMES = ("forrester", "branin", "hartmann6", "rosenbrock6")
+def default_n_init(name: str) -> int:
+    """Registry default initial design size; 12 for any other name (tables)."""
+    entry = _BENCHMARKS.get(str(name).lower())
+    return entry[3] if entry else 12
 
 
 def _column_levels(entries: list) -> dict:
@@ -278,8 +282,7 @@ class TabularBenchmark:
 
 # The in-loop ADAM schedule assumes a warm-started model refit every
 # iteration; a one-shot ranking study needs an actually converged fit.
-STUDY_TRAIN_CONFIG = TrainConfig(steps=2000, initial_lr=0.05, lr_decay=0.2,
-                                 decay_every=700)
+STUDY_TRAIN_CONFIG = TrainConfig(steps=2000, initial_lr=0.05, decay_every=700)
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

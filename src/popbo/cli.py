@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Settings resolve in order: built-in defaults, then the [popbo] section of an
-INI config file (--config), then explicit flags.  POPBO_OUT supplies the
-default output directory when neither config nor flag names one.
+Settings resolve in order: the ExperimentConfig defaults, then the [popbo]
+section of an INI config file (--config), then explicit flags.  POPBO_OUT
+supplies the output directory when neither config nor flag names one.
 
 Exit codes: 0 success, 1 I/O or run failure, 2 usage error.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -19,16 +20,42 @@ from .errors import DomainError, InputError, PopboError
 from .harness import METHODS, ExperimentConfig, run_experiment
 
 _CONFIG_SECTION = "popbo"
-_STR_KEYS = ("benchmark", "method", "seeds", "out")
-_INT_KEYS = ("iters", "init", "kmax", "workers")
-_FLOAT_KEYS = ("q", "beta", "noise-sigma")
 
 
 def _parse_seeds(text: str) -> tuple:
+    return tuple(int(part) for part in text.split(",") if part.strip() != "")
+
+
+# Every run setting, once: flag name (= config key) -> (ExperimentConfig
+# field, converter from text, help).  Defaults live only in ExperimentConfig.
+_SETTINGS = {
+    "benchmark": ("benchmark", str, "benchmark name or tabular CSV path"),
+    "method": ("method", str, f"one of {', '.join(METHODS)}"),
+    "seeds": ("seeds", _parse_seeds, "comma-separated seed list"),
+    "iters": ("n_iters", int, "optimization iterations"),
+    "init": ("n_init", int, "initial design size (default per benchmark)"),
+    "q": ("q", float, "rectification quantile (default per method)"),
+    "kmax": ("k_max", int, "ERI worst tolerable rank"),
+    "beta": ("beta", float, "LCB exploration weight"),
+    "noise-sigma": ("noise_sigma", float, "observation noise stddev"),
+    "out": ("out_dir", str, "output directory, else $POPBO_OUT"),
+    "workers": ("workers", int, "parallel seed workers"),
+}
+_KIND = {str: "a string with '%' written '%%'", int: "an integer", float: "a number",
+         _parse_seeds: "a comma-separated integer list"}
+
+
+def _setting(key: str, raw: str, where: str, read=str) -> tuple:
+    """(ExperimentConfig field, value) of a setting given as raw text.
+
+    read interpolates the raw text first (config files); every failure is
+    one usage error naming the setting and the raw text.
+    """
+    name, convert, _ = _SETTINGS[key]
     try:
-        return tuple(int(part) for part in str(text).split(",") if part.strip() != "")
-    except ValueError:
-        raise DomainError(f"seeds must be a comma-separated integer list, got {text!r}") from None
+        return name, convert(read(raw))
+    except (ValueError, configparser.Error):
+        raise InputError(f"{where} must be {_KIND[convert]}, got {raw!r}") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -42,23 +69,11 @@ def _load_config_file(path: str) -> dict:
     if not parser.has_section(_CONFIG_SECTION):
         raise DomainError(f"config file {path} has no [{_CONFIG_SECTION}] section")
     section = parser[_CONFIG_SECTION]
-    out: dict = {}
     for key in section:
-        if key in _STR_KEYS:
-            convert, kind = section.get, "a string with '%' written '%%'"
-        elif key in _INT_KEYS:
-            convert, kind = section.getint, "an integer"
-        elif key in _FLOAT_KEYS:
-            convert, kind = section.getfloat, "a number"
-        else:
+        if key not in _SETTINGS:
             raise DomainError(f"unknown config key {key!r} in {path}")
-        try:
-            out[key] = convert(key)
-        except (ValueError, configparser.Error):
-            value = section.get(key, raw=True)
-            raise InputError(f"config key {key!r} in {path} must be {kind}, "
-                             f"got {value!r}") from None
-    return out
+    return dict(_setting(key, section.get(key, raw=True), f"config key {key!r} in {path}",
+                         lambda _: section.get(key)) for key in section)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,58 +82,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run ranking-surrogate Bayesian optimization on a benchmark "
                     "and write trace/summary CSVs.",
     )
-    p.add_argument("--benchmark", help="benchmark name or tabular CSV path")
-    p.add_argument("--method", help=f"one of {', '.join(METHODS)}")
-    p.add_argument("--seeds", help="comma-separated seed list (default 0)")
-    p.add_argument("--iters", type=int, help="optimization iterations (default 80)")
-    p.add_argument("--init", type=int, help="initial design size (default 12; 30 for rosenbrock6)")
-    p.add_argument("--q", type=float, help="rectification quantile (default 0.6 r-lcb / 0.4 eri)")
-    p.add_argument("--kmax", type=int, help="ERI worst tolerable rank (default 5)")
-    p.add_argument("--beta", type=float, help="LCB exploration weight (default 1.0)")
-    p.add_argument("--noise-sigma", type=float, help="observation noise stddev (default 0)")
-    p.add_argument("--out", help="output directory (default $POPBO_OUT or .)")
-    p.add_argument("--workers", type=int, help="parallel seed workers (default 1)")
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for key, (name, _, text) in _SETTINGS.items():
+        default = defaults[name]
+        shown = "required" if default is dataclasses.MISSING else f"default {default}"
+        p.add_argument(f"--{key}", dest=key,
+                       help=text if default is None else f"{text} ({shown})")
     p.add_argument("--config", help="INI file with a [popbo] section")
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-
-    settings = {
-        "seeds": "0", "iters": 80, "init": None, "q": None, "kmax": 5,
-        "beta": 1.0, "noise-sigma": 0.0, "out": None, "workers": 1,
-        "benchmark": None, "method": None,
-    }
+    flags = vars(_build_parser().parse_args(argv))
+    config = flags.pop("config")
     try:
-        if args.config is not None:
-            settings.update(_load_config_file(args.config))
-        for key, flag in [("benchmark", args.benchmark), ("method", args.method),
-                          ("seeds", args.seeds), ("iters", args.iters),
-                          ("init", args.init), ("q", args.q), ("kmax", args.kmax),
-                          ("beta", args.beta), ("noise-sigma", args.noise_sigma),
-                          ("out", args.out), ("workers", args.workers)]:
-            if flag is not None:
-                settings[key] = flag
-
-        if settings["benchmark"] is None or settings["method"] is None:
+        fields = _load_config_file(config) if config is not None else {}
+        fields.update(_setting(key, text, f"--{key}")
+                      for key, text in flags.items() if text is not None)
+        if "benchmark" not in fields or "method" not in fields:
             print("error: --benchmark and --method are required", file=sys.stderr)
             return 2
-        out_dir = settings["out"] or os.environ.get("POPBO_OUT") or "."
-        cfg = ExperimentConfig(
-            benchmark=str(settings["benchmark"]),
-            method=str(settings["method"]),
-            seeds=_parse_seeds(settings["seeds"]),
-            n_init=settings["init"],
-            n_iters=int(settings["iters"]),
-            noise_sigma=float(settings["noise-sigma"]),
-            q=settings["q"],
-            k_max=int(settings["kmax"]),
-            beta=float(settings["beta"]),
-            out_dir=str(out_dir),
-            workers=int(settings["workers"]),
-        )
-        written = run_experiment(cfg)
+        if not fields.get("out_dir") and os.environ.get("POPBO_OUT"):
+            fields["out_dir"] = os.environ["POPBO_OUT"]
+        written = run_experiment(ExperimentConfig(**fields))
     except (DomainError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import AcquisitionConfig
-from .benchmarks import BENCHMARK_NAMES, TabularBenchmark, get_benchmark
+from .benchmarks import BENCHMARK_NAMES, TabularBenchmark, default_n_init, get_benchmark
 from .engine import BoRunConfig, RegretTrace, random_search_baseline, run
 from .errors import DomainError, EvaluationFailedError, InputError
 
@@ -94,10 +94,6 @@ def resolve_benchmark(name: str, noise_sigma: float = 0.0):
     raise DomainError(
         f"unknown benchmark {name!r}: expected one of {BENCHMARK_NAMES} or a CSV path"
     )
-
-
-def default_n_init(benchmark_name: str) -> int:
-    return 30 if str(benchmark_name).lower() == "rosenbrock6" else 12
 
 
 def _float_str(v: float) -> str:

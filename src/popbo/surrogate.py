@@ -67,6 +67,7 @@ DEFAULT_HIDDEN = (128, 128, 128)
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+_LR_DECAY = 0.2
 
 
 def _expit(t: float) -> float:
@@ -158,13 +159,14 @@ class ObservationSet:
 class TrainConfig:
     """ADAM schedule for likelihood maximization.
 
-    steps=0 is allowed and leaves the model untouched.
+    The learning rate starts at initial_lr and is multiplied by the fixed
+    factor _LR_DECAY (0.2) every decay_every steps.  steps=0 is allowed and
+    leaves the model untouched.
     """
 
     steps: int = 100
     batch_size: int = 64
     initial_lr: float = 0.01
-    lr_decay: float = 0.2
     decay_every: int = 30
 
     def __post_init__(self):
@@ -174,8 +176,6 @@ class TrainConfig:
             raise InputError("batch_size and decay_every must be >= 1")
         if not (self.initial_lr > 0):
             raise InputError("initial_lr must be > 0")
-        if not (0 < self.lr_decay <= 1):
-            raise InputError("lr_decay must lie in (0, 1]")
 
 
 @dataclass
@@ -311,17 +311,18 @@ def _ll_terms(rates: np.ndarray, ranks: np.ndarray, norm: np.ndarray) -> np.ndar
     return k_term - lf[ranks] - norm
 
 
-def _normalizer(rates: np.ndarray, n_obs: int):
+def _normalizer(rates: np.ndarray, n_obs: int, slope: bool = False):
     """Per-point log-normalizer and its derivative with respect to the rate.
 
     Below the switch these are log S(N-1) and S(N-2)/S(N-1), from one term
     matrix; at or above it the plain Poisson exponent (the rate itself) and
-    the scalar 1.0, which broadcasts like an array of ones.
+    the scalar 1.0, which broadcasts like an array of ones.  The derivative
+    is None unless slope.
     """
     if n_obs >= TRUNCATION_SWITCH_N:
-        return rates, 1.0
-    log_s1, log_s2 = log_partial_exp_sums(partial_sum_log_terms(rates, n_obs - 1), 2)
-    return log_s1, np.exp(log_s2 - log_s1)
+        return rates, 1.0 if slope else None
+    log_s = log_partial_exp_sums(partial_sum_log_terms(rates, n_obs - 1), 2 if slope else 1)
+    return log_s[0], np.exp(log_s[1] - log_s[0]) if slope else None
 
 
 def rate_gradient(rates: np.ndarray, ranks: np.ndarray, n_obs: int) -> np.ndarray:
@@ -330,7 +331,7 @@ def rate_gradient(rates: np.ndarray, ranks: np.ndarray, n_obs: int) -> np.ndarra
     Equals k/rate - S(N-2)/S(N-1) below the switch and k/rate - 1 above it.
     """
     rates = np.asarray(rates, dtype=float)
-    return np.asarray(ranks) / rates - _normalizer(rates, n_obs)[1]
+    return np.asarray(ranks) / rates - _normalizer(rates, n_obs, slope=True)[1]
 
 
 def _require_fittable(obs: ObservationSet):
@@ -369,7 +370,7 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
 
     Minibatches of size min(batch_size, N) are drawn without replacement
     within an epoch; a leftover smaller than one batch triggers a reshuffle.
-    The learning rate is initial_lr * lr_decay ** (step // decay_every).  If
+    The learning rate is initial_lr * 0.2 ** (step // decay_every).  If
     the final full-set negative log-likelihood exceeds the starting one, the
     initial parameters are restored, so the contract "final NLL <= initial"
     always holds; the restore is logged at DEBUG level on this module's
@@ -409,13 +410,13 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
 
         rates, caches = model._forward(obs.points[idx])
         ranks = obs.ranks[idx]
-        norm, norm_grad = _normalizer(rates, n)
+        norm, norm_grad = _normalizer(rates, n, slope=True)
         # The sum is finite exactly when the mean loss is.
         if not math.isfinite(float(_ll_terms(rates, ranks, norm).sum())):
             raise TrainingDivergedError(step)
         d_rates = ranks / rates - norm_grad
         model._backward(caches, -d_rates / idx.size, grad_w, grad_b)
-        adam.step(cfg.initial_lr * cfg.lr_decay ** (step // cfg.decay_every), step + 1)
+        adam.step(cfg.initial_lr * _LR_DECAY ** (step // cfg.decay_every), step + 1)
 
     nll_end = -log_likelihood(model, obs)
     if not (nll_end <= nll_start):

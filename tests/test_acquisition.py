@@ -399,8 +399,7 @@ class TestProposeDiscrete:
         rates = model.rates(cands)
         assert rates[0] < 0.2 and 2.0 < rates[1] < 6.0 and rates[2] > 8.5
         obs = random_obs(np.random.default_rng(71), 10, 1)
-        cfg = AcquisitionConfig(kind="r-lcb", q=0.6, rng_seed=0,
-                                discrete_samples=200)
+        cfg = AcquisitionConfig(kind="r-lcb", q=0.6, rng_seed=0)
         x = propose_next(model, DiscreteSpace(cands), obs, cfg)
         np.testing.assert_array_equal(x, [0.0])
 
@@ -409,7 +408,7 @@ class TestProposeDiscrete:
         model = IntensityModel.create(2, hidden=(8,), rng_seed=3)
         cands = rng.uniform(size=(25, 2))
         obs = random_obs(rng, 6, 2)
-        cfg = AcquisitionConfig(kind="r-lcb", rng_seed=5, discrete_samples=100)
+        cfg = AcquisitionConfig(kind="r-lcb", rng_seed=5)
         x = propose_next(model, DiscreteSpace(cands), obs, cfg)
         assert any(np.array_equal(x, c) for c in cands)
 
@@ -418,8 +417,7 @@ class TestProposeDiscrete:
         model = IntensityModel.create(2, hidden=(8,), rng_seed=3)
         cands = rng.uniform(size=(25, 2))
         obs = random_obs(rng, 6, 2)
-        cfg = AcquisitionConfig(kind="eri", k_max=3, rng_seed=5,
-                                discrete_samples=100)
+        cfg = AcquisitionConfig(kind="eri", k_max=3, rng_seed=5)
         a = propose_next(model, DiscreteSpace(cands), obs, cfg)
         b = propose_next(model, DiscreteSpace(cands), obs, cfg)
         np.testing.assert_array_equal(a, b)

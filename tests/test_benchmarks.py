@@ -236,7 +236,7 @@ class TestSpearman:
 
 
 class TestForresterRankingStudy:
-    FAST = TrainConfig(steps=40, initial_lr=0.05, lr_decay=0.5, decay_every=20)
+    FAST = TrainConfig(steps=40, initial_lr=0.05, decay_every=20)
 
     def test_deterministic_under_seed(self):
         kwargs = dict(n_train=8, n_grid=20, sigmas=(0.0, 0.3), seed=4,

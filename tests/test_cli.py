@@ -1,11 +1,17 @@
 """Tests for the command-line entry point: flags, config file, exit codes."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 import popbo.cli as cli
 from popbo.cli import main
 from popbo.errors import EvaluationFailedError, TrainingDivergedError
-from popbo.harness import read_trace_csv
+from popbo.harness import ExperimentConfig, read_trace_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(tmp_path, *extra):
@@ -39,6 +45,17 @@ class TestUsageErrors:
                      "--noise-sigma", "0.5", "--out", str(tmp_path)]) == 2
         assert "noise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("iters", "abc", "an integer"),
+        ("q", "high", "a number"),
+    ])
+    def test_unconvertible_flag_is_usage_error(self, tmp_path, capsys, flag, value, kind):
+        assert run_cli(tmp_path, f"--{flag}", value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"--{flag}" in err and f"{value!r}" in err and kind in err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_unreadable_config_file(self, tmp_path):
         assert run_cli(tmp_path, "--config", str(tmp_path / "absent.ini")) == 1
 
@@ -63,6 +80,25 @@ class TestRunFailures:
         monkeypatch.setattr(cli, "run_experiment", fail)
         assert run_cli(tmp_path) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestSettings:
+    def test_defaults_come_from_experiment_config(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+        monkeypatch.delenv("POPBO_OUT", raising=False)
+        assert main(["--benchmark", "branin", "--method", "popbo-eri"]) == 0
+        monkeypatch.setenv("POPBO_OUT", "runs")
+        assert main(["--benchmark", "branin", "--method", "popbo-eri"]) == 0
+        expected = ExperimentConfig("branin", "popbo-eri")
+        assert seen == [expected, dataclasses.replace(expected, out_dir="runs")]
+
+    def test_readme_lists_exactly_the_parser_flags(self):
+        section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        listed = re.findall(r"^\| `(--[a-z-]+)` \|", section.split("\n## ", 1)[0], re.M)
+        flags = [action.option_strings[-1] for action in cli._build_parser()._actions
+                 if action.dest != "help"]
+        assert listed == flags
 
 
 class TestHappyPath:

@@ -90,7 +90,7 @@ def fit_case(name):
     """(model, obs, cfg, rng) for one pinned fit."""
     seed, n, cfg = {
         # Large constant steps on tiny batches overshoot: the start is restored.
-        "restored": (4, 5, TrainConfig(steps=20, initial_lr=0.5, lr_decay=1.0, batch_size=3)),
+        "restored": (4, 5, TrainConfig(steps=20, initial_lr=0.5, batch_size=3)),
         "truncated": (0, 8, TrainConfig(steps=40, decay_every=15)),
         "plain-minibatch": (1, 15, TrainConfig(steps=40, batch_size=8, decay_every=15)),
     }[name]

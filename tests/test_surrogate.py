@@ -15,6 +15,7 @@ from popbo.errors import (
     PreconditionError,
     TrainingDivergedError,
 )
+from popbo import poisson as popbo_poisson
 from popbo.poisson import TruncatedPoisson, log_partial_exp_sum, truncated_mean
 from popbo.surrogate import (
     TRUNCATION_SWITCH_N,
@@ -22,6 +23,7 @@ from popbo.surrogate import (
     ObservationSet,
     TrainConfig,
     _expit,
+    _ll_terms,
     _normalizer,
     compute_ranks,
     fit,
@@ -127,8 +129,6 @@ class TestTrainConfig:
             TrainConfig(steps=-1)
         with pytest.raises(InputError):
             TrainConfig(initial_lr=0.0)
-        with pytest.raises(InputError):
-            TrainConfig(lr_decay=1.5)
 
 
 class TestNetwork:
@@ -229,6 +229,25 @@ class TestLogLikelihood:
         expected = sum(-lf[k] - 1.0 for k in range(12))  # k*log(1) = 0
         assert math.isclose(log_likelihood(model, obs), expected, rel_tol=1e-12)
 
+    def test_truncated_value_takes_one_logsumexp(self, monkeypatch):
+        # The value needs log S(N-1) only, not the slope's S(N-2)/S(N-1).
+        model = IntensityModel.create(2, hidden=(8,), rng_seed=2)
+        obs = random_obs(np.random.default_rng(33), 7, 2)
+        rates = model.rates(obs.points)
+        norm, _ = _normalizer(rates, len(obs), slope=True)
+        expected = float(np.sum(_ll_terms(rates, obs.ranks, norm)))
+        calls = []
+        original = popbo_poisson.logsumexp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(popbo_poisson, "logsumexp", counted)
+        value = log_likelihood(model, obs)
+        assert len(calls) == 1
+        assert repr(value) == repr(expected)
+
     def test_rate_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(32)
         for n_obs in (5, 20):  # truncated and plain regimes
@@ -283,14 +302,18 @@ class TestNormalizer:
         # each bitwise the separately computed partial sum.
         rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
         for n_obs in range(2, TRUNCATION_SWITCH_N):
-            norm, norm_grad = _normalizer(rates, n_obs)
+            norm, norm_grad = _normalizer(rates, n_obs, slope=True)
             log_s = log_partial_exp_sum(rates, n_obs - 1)
             np.testing.assert_array_equal(norm, log_s)
             np.testing.assert_array_equal(
                 norm_grad, np.exp(log_partial_exp_sum(rates, n_obs - 2) - log_s))
-        norm, norm_grad = _normalizer(rates, TRUNCATION_SWITCH_N)
+            norm_only, no_grad = _normalizer(rates, n_obs)
+            np.testing.assert_array_equal(norm_only, log_s)
+            assert no_grad is None
+        norm, norm_grad = _normalizer(rates, TRUNCATION_SWITCH_N, slope=True)
         np.testing.assert_array_equal(norm, rates)
         np.testing.assert_array_equal(norm_grad, np.ones_like(rates))
+        assert _normalizer(rates, TRUNCATION_SWITCH_N)[1] is None
 
 
 class TestParameterGradient:

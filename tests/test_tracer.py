@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import popbo.acquisition as acquisition
 import popbo.engine as engine
 from popbo.acquisition import AcquisitionConfig, propose_next
 from popbo.harness import ExperimentConfig, run_experiment
@@ -32,7 +33,7 @@ def test_propose_next_runs_traced(tracer, kind, n_obs):
     rng = np.random.default_rng(3)
     obs = ObservationSet.from_values(rng.uniform(size=(n_obs, 2)), rng.normal(size=n_obs))
     model = IntensityModel.create(2, hidden=(8,), rng_seed=1)
-    cfg = AcquisitionConfig(kind=kind, q=1.0, k_max=3, restarts=2)
+    cfg = AcquisitionConfig(kind=kind, q=1.0, k_max=3)
     original = engine.propose_next
 
     with tracer.Tracer().installed() as spans:
@@ -42,7 +43,7 @@ def test_propose_next_runs_traced(tracer, kind, n_obs):
     np.testing.assert_array_equal(x, propose_next(model, ContinuousSpace(2), obs, cfg))
     metrics = spans.layer_metrics(1)
     assert spans.proposals == 1
-    assert metrics["acquisition.rates_calls_per_propose"] >= cfg.restarts
+    assert metrics["acquisition.rates_calls_per_propose"] >= acquisition._RESTARTS
     # The objective is closed form; only the truncated normalizer S(n_obs)
     # needs a log-sum-exp, taken in poisson.
     assert metrics["acquisition.logsumexp_calls"] == 0
