@@ -1,8 +1,14 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class PopboError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # Rebuild from args and attributes: subclass constructors differ.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DomainError(PopboError, ValueError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .acquisition import AcquisitionConfig
 from .benchmarks import BENCHMARK_NAMES, TabularBenchmark, default_n_init, get_benchmark
 from .engine import BoRunConfig, RegretTrace, random_search_baseline, run
-from .errors import DomainError, EvaluationFailedError, InputError
+from .errors import DomainError, EvaluationFailedError, InputError, PopboError
 
 __all__ = [
     "METHODS",
@@ -38,7 +39,8 @@ __all__ = [
 
 METHODS = ("popbo-rlcb", "popbo-eri", "random-search")
 
-_METHOD_KIND = {"popbo-rlcb": "r-lcb", "popbo-eri": "eri"}
+# Random search's settings pass R-LCB's check, which adds no rule to the shared ones.
+_METHOD_KIND = {"popbo-rlcb": "r-lcb", "popbo-eri": "eri", "random-search": "r-lcb"}
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,8 @@ class ExperimentConfig:
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds:
             raise DomainError("seeds must be non-empty")
+        if len(set(seeds)) != len(seeds):
+            raise DomainError(f"seeds must be distinct, got {seeds}")
         object.__setattr__(self, "seeds", seeds)
         if self.n_iters < 0:
             raise DomainError("n_iters must be >= 0")
@@ -178,62 +182,53 @@ def summarize_traces(paths, out_path) -> Path:
     return out_path
 
 
-def _build_run_config(cfg: ExperimentConfig, n_init: int, seed: int) -> BoRunConfig:
-    acq = AcquisitionConfig(kind=_METHOD_KIND[cfg.method], beta=cfg.beta,
-                            q=cfg.q, k_max=cfg.k_max)
-    return BoRunConfig(n_init=n_init, n_iters=cfg.n_iters, seed=seed, acquisition=acq)
-
-
-def _run_one(cfg: ExperimentConfig, objective, benchmark_label: str, n_init: int,
-             seed: int) -> Path:
-    out = trace_path(cfg.out_dir, cfg.method, benchmark_label, seed)
+def _run_seed(objective, method: str, out_dir, run_cfg: BoRunConfig) -> tuple:
+    """Run one seed and write its trace; return (path, its PopboError or None)."""
+    out = trace_path(out_dir, method, objective.name, run_cfg.seed)
     try:
-        if cfg.method == "random-search":
-            trace = random_search_baseline(objective, n_init + cfg.n_iters, seed, n_init)
+        if method == "random-search":
+            trace = random_search_baseline(objective, run_cfg.n_init + run_cfg.n_iters,
+                                           run_cfg.seed, run_cfg.n_init)
         else:
-            trace = run(objective, _build_run_config(cfg, n_init, seed))
+            trace = run(objective, run_cfg)
     except EvaluationFailedError as exc:
-        # Persist what was observed before the failure, then re-raise.
         write_trace_csv(exc.trace, out)
-        raise
+        return out, exc
+    except PopboError as exc:
+        return out, exc
     write_trace_csv(trace, out)
-    return out
+    return out, None
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run every seed, write one trace CSV each, then the summary CSV.
 
-    Returns the list of written paths (traces then summary).  The benchmark
-    is resolved (a table parsed) once and shared by every seed: objectives
-    hold no state, their noise comes from each run's own stream.  Seeds run
-    in parallel worker processes when workers > 1; each worker writes only
-    its own trace file and the summary is produced after all complete.
+    Returns the written paths (traces then summary).  Every seed's run
+    config is built, and so checked, before any evaluation.  The benchmark
+    is resolved (a table parsed) once and shared: objectives hold no state.
+    Seeds run in worker processes when workers > 1, with the same traces
+    and failures: a seed's PopboError stops no other seed, and every seed
+    writes its trace, up to the failure if an evaluation fails; then the
+    first error in seed order is raised and no summary is written.
     """
     objective = resolve_benchmark(cfg.benchmark, cfg.noise_sigma)
     benchmark_label = objective.name
     n_init = cfg.n_init if cfg.n_init is not None else default_n_init(benchmark_label)
-    if n_init < 2:
-        raise DomainError("n_init must be >= 2")
-    if cfg.method != "random-search":
-        # Reject a bad run config (e.g. ERI's k_max above n_init) before any
-        # seed spends an evaluation.
-        _build_run_config(cfg, n_init, cfg.seeds[0])
-
-    written = []
+    acquisition = AcquisitionConfig(kind=_METHOD_KIND[cfg.method], beta=cfg.beta,
+                                    q=cfg.q, k_max=cfg.k_max)
+    runs = [BoRunConfig(n_init=n_init, n_iters=cfg.n_iters, seed=seed, acquisition=acquisition)
+            for seed in cfg.seeds]
+    run_seed = partial(_run_seed, objective, cfg.method, cfg.out_dir)
     if cfg.workers > 1:
-        # Imported only here, so single-process runs never load
-        # multiprocessing.
+        # Imported only here, so single-process runs never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_run_one, cfg, objective, benchmark_label, n_init, s)
-                       for s in cfg.seeds]
-            for fut in futures:
-                written.append(fut.result())
+            outcomes = list(pool.map(run_seed, runs))
     else:
-        for seed in cfg.seeds:
-            written.append(_run_one(cfg, objective, benchmark_label, n_init, seed))
-
-    summary = summarize_traces(written, summary_path(cfg.out_dir, cfg.method,
-                                                     benchmark_label))
-    return written + [summary]
+        outcomes = list(map(run_seed, runs))
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    written = [path for path, _ in outcomes]
+    return written + [summarize_traces(written, summary_path(cfg.out_dir, cfg.method,
+                                                             benchmark_label))]

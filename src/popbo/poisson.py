@@ -246,10 +246,11 @@ def truncated_means(rates: np.ndarray, max_rank: int, slope: bool = False):
 
     mean = rate * ratio with ratio = S(m-1) / S(m), m = max_rank, and, as
     S'(m) = S(m-1), slope = ratio + rate * (S(m-2) / S(m) - ratio^2).
-    log S(-1) = -inf makes the mean 0 at max_rank 0, as rate 0 does.
+    log S(-1) = -inf makes the mean 0 at max_rank 0, as rate 0 does; the log
+    ratio is clamped at 0, where rounding would lift the mean above the rate.
     """
     log_s = log_partial_exp_sums(partial_sum_log_terms(rates, max_rank), 3 if slope else 2)
-    ratio = np.exp(log_s[1] - log_s[0])
+    ratio = np.exp(np.minimum(log_s[1] - log_s[0], 0.0))
     means = rates * ratio
     if not slope:
         return means, None

@@ -56,6 +56,22 @@ class TestUsageErrors:
         assert f"--{flag}" in err and f"{value!r}" in err and kind in err
         assert list(tmp_path.glob("*.csv")) == []
 
+    @pytest.mark.parametrize("flag, value", [("q", "7"), ("kmax", "-1")])
+    def test_acquisition_settings_checked_for_every_method(self, tmp_path, capsys, flag,
+                                                            value):
+        errors = []
+        for method in ("popbo-rlcb", "random-search"):
+            assert run_cli(tmp_path, "--method", method, f"--{flag}", value) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ")
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_repeated_seeds(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "--seeds", "0,0,1") == 2
+        assert capsys.readouterr().err.startswith("error: seeds must be distinct")
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_unreadable_config_file(self, tmp_path):
         assert run_cli(tmp_path, "--config", str(tmp_path / "absent.ini")) == 1
 

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ from popbo.harness import (
 )
 from popbo.surrogate import TrainConfig
 
+BRANIN = get_benchmark("branin")
+
+
+def _branin_nan_at(point, x):
+    # Module level, so a worker process can unpickle it by name under any
+    # start method (fork, spawn, forkserver).
+    return math.nan if np.array_equal(x, point) else BRANIN.fn(x)
+
 
 class TestExperimentConfig:
     def test_methods_registry(self):
@@ -37,6 +46,11 @@ class TestExperimentConfig:
     def test_rejects_empty_seeds(self):
         with pytest.raises(DomainError):
             ExperimentConfig(benchmark="branin", method="random-search", seeds=())
+
+    def test_rejects_repeated_seeds(self):
+        # Each seed writes one trace file and counts once in the summary.
+        with pytest.raises(DomainError, match="distinct"):
+            ExperimentConfig(benchmark="branin", method="random-search", seeds=(0, 0, 1))
 
     def test_seeds_coerced_to_ints(self):
         cfg = ExperimentConfig(benchmark="branin", method="random-search",
@@ -337,3 +351,28 @@ class TestRunExperiment:
             assert ha == hb
             for rowa, rowb in zip(ra, rb):
                 assert rowa[:6] == rowb[:6]  # timing columns may differ
+
+    def test_failed_seed_contract_is_the_same_for_any_worker_count(self, tmp_path,
+                                                                    monkeypatch):
+        # Seed 1's fourth query (iteration 2) observes NaN; seeds 0 and 2 do not.
+        point = random_search_baseline(BRANIN, 5, 1, 2).records[3].point
+        failing = replace(BRANIN, fn=partial(_branin_nan_at, point))
+        monkeypatch.setattr(harness, "resolve_benchmark",
+                            lambda name, noise_sigma=0.0: failing)
+        outcomes = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            cfg = ExperimentConfig(benchmark="branin", method="random-search",
+                                   seeds=(0, 1, 2), n_init=2, n_iters=3,
+                                   out_dir=str(out), workers=workers)
+            with pytest.raises(EvaluationFailedError, match="non-finite") as info:
+                run_experiment(cfg)
+            # Every seed wrote its trace, seed 1 up to the failure; no summary.
+            assert sorted(p.name for p in out.iterdir()) == [
+                f"random-search_branin_seed{s}.csv" for s in (0, 1, 2)]
+            rows = [read_trace_csv(trace_path(out, "random-search", "branin", s))[1]
+                    for s in (0, 1, 2)]
+            assert [len(r) for r in rows] == [5, 3, 5]
+            outcomes.append((str(info.value), len(info.value.trace),
+                             [[row[:6] for row in r] for r in rows]))
+        assert outcomes[0] == outcomes[1]  # timing columns may differ
