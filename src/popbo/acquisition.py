@@ -76,6 +76,8 @@ class AcquisitionConfig:
         object.__setattr__(self, "q", float(q))
         if self.k_max < 0:
             raise DomainError(f"k_max must be >= 0, got {self.k_max}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise DomainError(f"beta must be finite and >= 0, got {self.beta!r}")
 
 
 def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig, drate: bool = True):

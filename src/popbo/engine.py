@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .acquisition import AcquisitionConfig, propose_next
-from .errors import EvaluationFailedError, InputError, PreconditionError
+from .errors import EvaluationFailedError, InputError, PopboError, PreconditionError
 from .surrogate import (
     DEFAULT_HIDDEN,
     IntensityModel,
@@ -132,8 +132,8 @@ def _loop(objective, seed: int, n_init: int, n_iters: int, step) -> RegretTrace:
 
     step(rng, points, values) returns (x_next, fit_seconds, propose_seconds)
     from the run's master stream, the (N, d) points and the N values so far.
-    Every evaluation goes through _observe, so a failure raises
-    EvaluationFailedError carrying the trace recorded before it.
+    A failed evaluation raises EvaluationFailedError, and a PopboError from
+    step (a diverged fit) is re-raised, both carrying the trace so far.
     """
     space = objective.space
     optimum = objective.optimum
@@ -164,7 +164,11 @@ def _loop(objective, seed: int, n_init: int, n_iters: int, step) -> RegretTrace:
     for x in points:
         observe(0, x, 0.0, 0.0)
     for t in range(1, n_iters + 1):
-        x_next, fit_s, propose_s = step(rng, points, values)
+        try:
+            x_next, fit_s, propose_s = step(rng, points, values)
+        except PopboError as exc:
+            exc.trace = trace
+            raise
         points = np.vstack([points, x_next[None, :]])
         observe(t, x_next, fit_s, propose_s)
     return trace

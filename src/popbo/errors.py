@@ -28,6 +28,7 @@ class TrainingDivergedError(PopboError, RuntimeError):
 
     Attributes:
         step: index of the optimizer step at which divergence was detected.
+        trace: set by the run loop to the RegretTrace recorded before it.
     """
 
     def __init__(self, step: int, message: str | None = None):

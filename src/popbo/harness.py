@@ -21,7 +21,7 @@ import numpy as np
 from .acquisition import AcquisitionConfig
 from .benchmarks import BENCHMARK_NAMES, TabularBenchmark, default_n_init, get_benchmark
 from .engine import BoRunConfig, RegretTrace, random_search_baseline, run
-from .errors import DomainError, EvaluationFailedError, InputError, PopboError
+from .errors import DomainError, InputError, PopboError
 
 __all__ = [
     "METHODS",
@@ -191,10 +191,9 @@ def _run_seed(objective, method: str, out_dir, run_cfg: BoRunConfig) -> tuple:
                                            run_cfg.seed, run_cfg.n_init)
         else:
             trace = run(objective, run_cfg)
-    except EvaluationFailedError as exc:
-        write_trace_csv(exc.trace, out)
-        return out, exc
     except PopboError as exc:
+        if getattr(exc, "trace", None) is not None:
+            write_trace_csv(exc.trace, out)
         return out, exc
     write_trace_csv(trace, out)
     return out, None
@@ -208,8 +207,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     is resolved (a table parsed) once and shared: objectives hold no state.
     Seeds run in worker processes when workers > 1, with the same traces
     and failures: a seed's PopboError stops no other seed, and every seed
-    writes its trace, up to the failure if an evaluation fails; then the
-    first error in seed order is raised and no summary is written.
+    writes its trace, up to the failure if an evaluation or a fit fails;
+    then the first error in seed order is raised and no summary is written.
     """
     objective = resolve_benchmark(cfg.benchmark, cfg.noise_sigma)
     benchmark_label = objective.name

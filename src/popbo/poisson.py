@@ -51,7 +51,7 @@ def logsumexp(a, axis: int = -1):
     -inf, or a +inf entry) the direct log(sum(exp(a))) replaces it.  The same
     elementwise operations and the same contiguous reductions in the same
     order give the same bits; skipping scipy's array-API dispatch makes it
-    several times faster on the tiny arrays the surrogate and acquisition use.
+    several times faster on the short vectors of pmf_vector, its one user.
 
     Args:
         a: array_like of reals; a 1-d input reduces to a numpy scalar.
@@ -125,20 +125,31 @@ def log_partial_exp_sum(rate, m: int):
     if m < 0:
         out = np.full(rates.shape, -np.inf)
     else:
-        out = logsumexp(partial_sum_log_terms(rates, m), axis=-1)
+        out = log_partial_exp_sums(partial_sum_log_terms(rates, m), 1)[0]
     return float(out[0]) if scalar else out
 
 
 def log_partial_exp_sums(terms: np.ndarray, count: int) -> list:
     """[log S(m), ..., log S(m - count + 1)] from the term matrix of S(m).
 
-    The terms of S(m - i) are the first m + 1 - i columns of those of S(m),
-    so each equals the corresponding log_partial_exp_sum bitwise; log S(-1)
-    is -inf.
+    The terms of S(m - i) are the first m + 1 - i columns of those of S(m).
+    S(j), j = max(m + 1 - max(count, 3), 0), is one sum of exp(terms - shift),
+    shifted by its largest term; log1p of (sum - 1), with the 1 taken from
+    column 0, is exact near 0.  Longer sums add one term each by logaddexp:
+    S(j)'s shift would overflow them (at rate 1e300 each term is e^690 times
+    the last).  log S(m) and log S(m - 1) have the same bits for every
+    count <= 3, so no value depends on whether its slope is asked for.
+    log S(-1) is -inf.
     """
     m = terms.shape[-1] - 1
-    return [logsumexp(terms[..., :m + 1 - i], axis=-1) if i <= m
-            else np.full(terms.shape[:-1], -np.inf) for i in range(count)]
+    j = max(m + 1 - max(count, 3), 0)
+    head = terms[..., :j + 1]
+    shift = head.max(axis=-1)
+    shifted = np.exp(head - shift[..., None])
+    sums = [shift + np.log1p(shifted[..., 1:].sum(axis=-1) + (shifted[..., 0] - 1.0))]
+    for i in range(j + 1, m + 1):
+        sums.append(np.logaddexp(sums[-1], terms[..., i]))
+    return (sums[::-1] + [np.full(shift.shape, -np.inf)] * (count - m - 1))[:count]
 
 
 @lru_cache(maxsize=256)

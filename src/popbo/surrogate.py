@@ -430,12 +430,11 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
 class _Adam:
     """ADAM on one flat parameter vector, updated in place without temporaries.
 
-    Each step performs the textbook per-element sequence
-    m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2;
-    p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-    with the operations in that order, element by element the same
-    arithmetic as updating each layer's arrays separately, so flat and
-    per-layer training agree bitwise.
+    Each step is Kingma and Ba's efficient form of the textbook update
+    p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps): with
+    c = sqrt(1-b2^t), the same update is p -= (lr*c / (1-b1^t)) * m /
+    (sqrt(v) + eps*c), so both bias corrections fold into two scalars and a
+    step makes 12 in-place passes over the buffer.
     """
 
     def __init__(self, params: np.ndarray):
@@ -449,6 +448,7 @@ class _Adam:
     def step(self, lr: float, t: int):
         """Apply one update from self.grad at step count t >= 1."""
         g, m, v, num, den = self.grad, self.m1, self.m2, self._num, self._den
+        c = math.sqrt(1.0 - _ADAM_BETA2 ** t)
         m *= _ADAM_BETA1
         np.multiply(g, 1.0 - _ADAM_BETA1, out=num)
         m += num
@@ -456,12 +456,10 @@ class _Adam:
         np.square(g, out=num)
         num *= 1.0 - _ADAM_BETA2
         v += num
-        np.divide(m, 1.0 - _ADAM_BETA1 ** t, out=num)
-        num *= lr
-        np.divide(v, 1.0 - _ADAM_BETA2 ** t, out=den)
-        np.sqrt(den, out=den)
-        den += _ADAM_EPS
-        num /= den
+        np.sqrt(v, out=den)
+        den += _ADAM_EPS * c
+        np.divide(m, den, out=num)
+        num *= lr * c / (1.0 - _ADAM_BETA1 ** t)
         self.params -= num
 
 

@@ -17,7 +17,8 @@ from popbo.acquisition import (
     r_lcb,
 )
 from popbo.errors import DomainError, PreconditionError, RectifiedRegionError
-from popbo.poisson import log_factorials, log_partial_exp_sum, logsumexp
+from popbo.poisson import (log_factorials, log_partial_exp_sum, log_partial_exp_sums, logsumexp,
+                           partial_sum_log_terms)
 from popbo.space import ContinuousSpace, DiscreteSpace
 from popbo.surrogate import IntensityModel, ObservationSet
 
@@ -68,6 +69,14 @@ class TestConfig:
             AcquisitionConfig(q=0.0)
         with pytest.raises(DomainError):
             AcquisitionConfig(q=1.5)
+
+    @pytest.mark.parametrize("beta", [-3.0, -1e-300, math.nan, math.inf])
+    def test_rejects_beta_not_finite_and_nonnegative(self, beta):
+        with pytest.raises(DomainError, match="beta"):
+            AcquisitionConfig(beta=beta)
+
+    def test_zero_beta_allowed(self):
+        assert AcquisitionConfig(beta=0.0).beta == 0.0
 
 
 class TestLcb:
@@ -213,9 +222,11 @@ def ref_mean(rate, max_rank):
 def ref_dmean_drate(rate, max_rank):
     if max_rank == 0:
         return 0.0
-    a = log_partial_exp_sum(rate, max_rank - 1)
-    b = log_partial_exp_sum(rate, max_rank)
-    c = log_partial_exp_sum(rate, max_rank - 2)
+    # One term matrix, as the library's: far above max_rank the slope is about
+    # 1e-4 of its terms, so log sums equal only to rounding (each cut at its
+    # own prefix) would move it by about 1e-9 relative.
+    terms = partial_sum_log_terms(np.array([rate]), max_rank)
+    b, a, c = (float(s[0]) for s in log_partial_exp_sums(terms, 3))
     return math.exp(a - b) + rate * (math.exp(c - b) - math.exp(2.0 * (a - b)))
 
 

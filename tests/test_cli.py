@@ -56,7 +56,8 @@ class TestUsageErrors:
         assert f"--{flag}" in err and f"{value!r}" in err and kind in err
         assert list(tmp_path.glob("*.csv")) == []
 
-    @pytest.mark.parametrize("flag, value", [("q", "7"), ("kmax", "-1")])
+    @pytest.mark.parametrize("flag, value", [("q", "7"), ("kmax", "-1"), ("beta", "-3"),
+                                             ("beta", "nan")])
     def test_acquisition_settings_checked_for_every_method(self, tmp_path, capsys, flag,
                                                             value):
         errors = []

@@ -7,7 +7,12 @@ that is meant to alter bits must re-pin them and say so.
 
 Re-pinned since: hartmann6-eri, when ERI and its rate derivative moved from
 log-space sums to the closed form over running pmf sums (the values agree to
-about 1e-12 relative, the first proposal to about 1e-13).
+about 1e-12 relative, the first proposal to about 1e-13).  Then both runs and
+the truncated and plain-minibatch fits, when ADAM folded its bias corrections
+into two scalars and the truncated partial sums came from one shifted sum
+(each agrees with the old form to about 1e-15 relative per step).  The
+restored fit pins its start parameters, and the table run's queries did not
+move, so those two digests stayed.
 """
 
 import hashlib
@@ -30,14 +35,14 @@ from popbo.surrogate import (
 )
 
 GOLDEN_RUNS = {
-    "branin-rlcb": "5ab4637657d9a9dbc5712023f64692e7d11921e772c3e64913356cf90f7625e6",
-    "hartmann6-eri": "7dc12d3353e3fd5de0eb14c66e0ca316da4e0c28797526f7502ea5eb9df1114a",
+    "branin-rlcb": "52a401902421401732bf57160e3d206c00febd5c2ce04876a57da75ac4914a14",
+    "hartmann6-eri": "e6efb55176beb8dc63a043707ff6921bc94a1078c62a4ec64589bbe1b8d059cf",
 }
 GOLDEN_TABLE = "43a209e2888801a8c2e8f4813ff436e349562304d9719cf5db997b6fd139c5ed"
 GOLDEN_FITS = {
     "restored": "d081b50830be5635e24fef7b93f6103f70ac67b01346daacf8397bd3a9a84ff1",
-    "truncated": "7499d0aea8ab9cf2de817ad47a501373c81d4a61cd64e1d6fb0980e585964b0b",
-    "plain-minibatch": "41c28e67f4acd2c4b4ccbba53127e580722bdc637c79d4dfc7755bf37ac53e5e",
+    "truncated": "6618e082d623885d7289517f569c0542a6cfff195f1f90eca5fd324b44f912c9",
+    "plain-minibatch": "18dc68e8aa93f5ef033a1057f6fdac3ecf4a35bc143e72b4eacc2cd68bb43288",
 }
 
 

@@ -1,16 +1,19 @@
 """Tests for the experiment harness: baselines, trace files, summaries."""
 
 import math
+import multiprocessing
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+import popbo.engine as engine
 import popbo.harness as harness
 from popbo.benchmarks import TabularBenchmark, get_benchmark
 from popbo.engine import BoRunConfig, run
-from popbo.errors import DomainError, EvaluationFailedError, InputError, PreconditionError
+from popbo.errors import (DomainError, EvaluationFailedError, InputError, PreconditionError,
+                          TrainingDivergedError)
 from popbo.harness import (
     METHODS,
     ExperimentConfig,
@@ -300,6 +303,45 @@ class TestRunExperiment:
         # k_max is ERI's alone: random search runs with the same settings.
         run_experiment(replace(cfg, method="random-search"))
         assert len(evaluated) == 2 * (3 + 2)
+
+    @pytest.mark.parametrize("method", ["popbo-rlcb", "random-search"])
+    @pytest.mark.parametrize("beta", [-3.0, math.nan])
+    def test_bad_beta_rejected_before_any_evaluation(self, tmp_path, monkeypatch, method,
+                                                     beta):
+        evaluated = []
+        counting = replace(BRANIN, fn=lambda x: evaluated.append(x) or BRANIN.fn(x))
+        monkeypatch.setattr(harness, "resolve_benchmark",
+                            lambda name, noise_sigma=0.0: counting)
+        cfg = ExperimentConfig(benchmark="branin", method=method, seeds=(0,), n_init=3,
+                               n_iters=2, beta=beta, out_dir=str(tmp_path))
+        with pytest.raises(DomainError, match="beta must be finite and >= 0"):
+            run_experiment(cfg)
+        assert evaluated == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_diverged_fit_writes_the_trace_so_far(self, tmp_path, monkeypatch, workers):
+        # The patched fit reaches worker processes only when they are forked.
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("worker processes do not inherit the patched fit")
+        real_fit = engine.fit
+
+        def fit_failing_second(model, obs, cfg, rng=None):
+            if len(obs) == 4:  # the second fit of a run with n_init 3
+                raise TrainingDivergedError(0)
+            return real_fit(model, obs, cfg, rng=rng)
+
+        monkeypatch.setattr(engine, "fit", fit_failing_second)
+        cfg = ExperimentConfig(benchmark="branin", method="popbo-rlcb", seeds=(0, 1),
+                               n_init=3, n_iters=3, out_dir=str(tmp_path), workers=workers)
+        with pytest.raises(TrainingDivergedError) as info:
+            run_experiment(cfg)
+        assert len(info.value.trace) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"popbo-rlcb_branin_seed{s}.csv" for s in (0, 1)]
+        for seed in (0, 1):
+            _, rows = read_trace_csv(trace_path(tmp_path, "popbo-rlcb", "branin", seed))
+            assert [row[0] for row in rows] == [0, 0, 0, 1]
 
     def test_table_parsed_once_per_experiment(self, tmp_path, monkeypatch):
         table = tmp_path / "grid.csv"

@@ -52,13 +52,42 @@ class TestLogHelpers:
         # Shorter tables are exact prefixes of longer ones.
         np.testing.assert_array_equal(log_factorials(4), table[:5])
 
-    def test_prefix_sums_match_single_sums_bitwise(self):
+    def test_prefix_sums_match_single_sums(self):
+        # Each prefix is summed from its own cut, so agreement is to rounding.
         rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
         for m in range(0, 14):
             terms = partial_sum_log_terms(rates, m)
             sums = log_partial_exp_sums(terms, m + 2)
+            assert len(sums) == m + 2
             for i, log_s in enumerate(sums):  # down to S(-1), which is -inf
-                np.testing.assert_array_equal(log_s, log_partial_exp_sum(rates, m - i))
+                np.testing.assert_allclose(log_s, log_partial_exp_sum(rates, m - i),
+                                           rtol=1e-15, atol=0.0)
+
+    def test_prefix_sums_match_logsumexp_over_all_scales(self):
+        # rate 0 and 1e-300 .. 1e300: a single shift by the largest term
+        # overflows at huge rates (log S(31) = -inf at rate 1e300, m = 33).
+        rates = np.concatenate([[0.0], np.logspace(-300, 300, 601), [0.3, 4.5, 1e4]])
+        for m in range(0, 41):
+            terms = partial_sum_log_terms(rates, m)
+            for count in (1, 2, 3, m + 2):
+                sums = log_partial_exp_sums(terms, count)
+                assert len(sums) == count
+                for i, log_s in enumerate(sums):
+                    if i > m:
+                        assert (log_s == -np.inf).all()
+                        continue
+                    ref = logsumexp(terms[:, :m + 1 - i], axis=-1)
+                    assert np.isfinite(log_s).all()
+                    np.testing.assert_allclose(log_s, ref, rtol=1e-14, atol=0.0)
+
+    def test_first_two_sums_do_not_depend_on_count(self):
+        # A value (count 1 or 2) and its slope (count 3) share log S(m), log S(m-1).
+        rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
+        for m in range(0, 14):
+            terms = partial_sum_log_terms(rates, m)
+            one, two, three = (log_partial_exp_sums(terms, c) for c in (1, 2, 3))
+            np.testing.assert_array_equal(one[0], three[0])
+            np.testing.assert_array_equal(two[1], three[1])
 
     def test_partial_sum_matches_direct(self):
         for rate in (0.3, 1.0, 4.5):

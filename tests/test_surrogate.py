@@ -22,6 +22,7 @@ from popbo.surrogate import (
     IntensityModel,
     ObservationSet,
     TrainConfig,
+    _Adam,
     _expit,
     _ll_terms,
     _normalizer,
@@ -229,8 +230,8 @@ class TestLogLikelihood:
         expected = sum(-lf[k] - 1.0 for k in range(12))  # k*log(1) = 0
         assert math.isclose(log_likelihood(model, obs), expected, rel_tol=1e-12)
 
-    def test_truncated_value_takes_one_logsumexp(self, monkeypatch):
-        # The value needs log S(N-1) only, not the slope's S(N-2)/S(N-1).
+    def test_truncated_value_needs_no_logsumexp(self, monkeypatch):
+        # The normalizer is one shifted sum; its value has the fit's bits.
         model = IntensityModel.create(2, hidden=(8,), rng_seed=2)
         obs = random_obs(np.random.default_rng(33), 7, 2)
         rates = model.rates(obs.points)
@@ -245,7 +246,7 @@ class TestLogLikelihood:
 
         monkeypatch.setattr(popbo_poisson, "logsumexp", counted)
         value = log_likelihood(model, obs)
-        assert len(calls) == 1
+        assert calls == []
         assert repr(value) == repr(expected)
 
     def test_rate_gradient_matches_finite_differences(self):
@@ -297,16 +298,17 @@ class TestExpit:
 
 
 class TestNormalizer:
-    def test_truncated_normalizer_matches_single_sums_bitwise(self):
-        # Below the switch: log S(N-1) and S(N-2)/S(N-1) from one term matrix,
-        # each bitwise the separately computed partial sum.
+    def test_truncated_normalizer_matches_single_sums(self):
+        # Below the switch: log S(N-1), bitwise the single partial sum, and
+        # S(N-2)/S(N-1) from the same term matrix, to rounding.
         rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
         for n_obs in range(2, TRUNCATION_SWITCH_N):
             norm, norm_grad = _normalizer(rates, n_obs, slope=True)
             log_s = log_partial_exp_sum(rates, n_obs - 1)
             np.testing.assert_array_equal(norm, log_s)
-            np.testing.assert_array_equal(
-                norm_grad, np.exp(log_partial_exp_sum(rates, n_obs - 2) - log_s))
+            np.testing.assert_allclose(
+                norm_grad, np.exp(log_partial_exp_sum(rates, n_obs - 2) - log_s),
+                rtol=1e-15, atol=0.0)
             norm_only, no_grad = _normalizer(rates, n_obs)
             np.testing.assert_array_equal(norm_only, log_s)
             assert no_grad is None
@@ -394,6 +396,28 @@ class TestFit:
         with pytest.raises(TrainingDivergedError) as info:
             fit(model, obs, TrainConfig(steps=10), rng=np.random.default_rng(0))
         assert info.value.step == 0
+
+
+class TestAdam:
+    @pytest.mark.parametrize("t", [1, 2, 50])
+    def test_step_is_the_textbook_update(self, t):
+        # The folded step sizes change rounding only.  Second moments span
+        # 1e-20 .. 1, so eps weighs from dominant to negligible.
+        rng = np.random.default_rng(t)
+        n = 4096
+        grad = rng.normal(size=n) * 10.0 ** rng.uniform(-10, 0, size=n)
+        m1 = rng.normal(size=n) * 1e-3
+        m2 = 10.0 ** rng.uniform(-20, 0, size=n)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        adam = _Adam(np.zeros(n))
+        adam.grad[...], adam.m1[...], adam.m2[...] = grad, m1, m2
+        adam.step(lr, t)
+        m = b1 * m1 + (1.0 - b1) * grad
+        v = b2 * m2 + (1.0 - b2) * grad ** 2
+        update = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        np.testing.assert_array_equal(adam.m1, m)
+        np.testing.assert_array_equal(adam.m2, v)
+        np.testing.assert_allclose(adam.params, -update, rtol=1e-14, atol=0.0)
 
 
 class TestPredict:
