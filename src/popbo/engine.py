@@ -132,8 +132,8 @@ def _loop(objective, seed: int, n_init: int, n_iters: int, step) -> RegretTrace:
 
     step(rng, points, values) returns (x_next, fit_seconds, propose_seconds)
     from the run's master stream, the (N, d) points and the N values so far.
-    A failed evaluation raises EvaluationFailedError, and a PopboError from
-    step (a diverged fit) is re-raised, both carrying the trace so far.
+    A failed evaluation raises EvaluationFailedError, and any PopboError from
+    step (e.g. a diverged fit) is re-raised; both carry the trace so far.
     """
     space = objective.space
     optimum = objective.optimum

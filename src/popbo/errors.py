@@ -4,7 +4,12 @@ import copyreg
 
 
 class PopboError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Attributes:
+        trace: on any error raised during a run, the RegretTrace recorded
+            before it (attached by the run loop); absent otherwise.
+    """
 
     def __reduce__(self):
         # Rebuild from args and attributes: subclass constructors differ.
@@ -28,7 +33,6 @@ class TrainingDivergedError(PopboError, RuntimeError):
 
     Attributes:
         step: index of the optimizer step at which divergence was detected.
-        trace: set by the run loop to the RegretTrace recorded before it.
     """
 
     def __init__(self, step: int, message: str | None = None):
@@ -54,11 +58,7 @@ class RectifiedRegionError(PopboError, RuntimeError):
 
 
 class EvaluationFailedError(PopboError, RuntimeError):
-    """Objective evaluation raised; the partial trace is attached.
-
-    Attributes:
-        trace: the RegretTrace accumulated before the failure.
-    """
+    """Objective evaluation raised; it carries the trace recorded before it."""
 
     def __init__(self, trace, cause: BaseException):
         self.trace = trace

@@ -9,10 +9,11 @@ on the path and `OPENBLAS_NUM_THREADS=1`, and writes one JSON report:
 
 Scope: branin, hartmann6, a generated 4-d table and branin with observation
 noise, each with popbo-rlcb and popbo-eri (the gated cells), plus random
-search on each as an ungated reference.  A run with the same seed starts from
-the same initial block in both checkouts, so seeds pair up.  For the noisy
-cell the regret is the noiseless regret of the incumbent (the point with the
-best noisy observation); elsewhere it is the trace's regret column.
+search on each as an ungated reference, 30 seeds of 80 iterations, two runs
+at a time.  A run with the same seed starts from the same initial block in
+both checkouts, so seeds pair up.  For the noisy cell the regret is the
+noiseless regret of the incumbent (the point with the best noisy
+observation); elsewhere it is the trace's regret column.
 
 Verdict rule, fixed before the study's first run:
   * per gated cell, an exact two-sided sign test on the paired final regrets
@@ -51,6 +52,9 @@ ROOT = Path(__file__).resolve().parents[1]
 GATED_METHODS = ("popbo-rlcb", "popbo-eri")
 REFERENCE_METHOD = "random-search"
 NOISE_SIGMA = 1.0
+SEEDS, ITERS = 30, 80
+SMOKE_SEEDS, SMOKE_ITERS = 2, 3
+WORKERS = 2
 CHECKPOINTS = (10, 20, 40, 80)
 ALPHA = 0.05
 BOOTSTRAP_RESAMPLES = 10_000
@@ -167,7 +171,7 @@ def cell_report(cell: dict, parent_runs: list, change_runs: list, iters: int) ->
                 sign_p=sign_test(wins, losses))
 
 
-def study(parent: Path, change: Path, seeds: int, iters: int, workers: int) -> dict:
+def study(parent: Path, change: Path, seeds: int, iters: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         table = str(write_table(Path(tmp) / "table4.csv"))
         cells = [dict(label=label, benchmark=bench, noise_sigma=noise, method=method,
@@ -183,7 +187,7 @@ def study(parent: Path, change: Path, seeds: int, iters: int, workers: int) -> d
                 for i, c in enumerate(cells) for seed in range(seeds)
                 for side_name, checkout in (("parent", parent), ("change", change))]
         started = time.time()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             results = list(pool.map(lambda job: run_one(job[1], job[3]), jobs))
         elapsed = time.time() - started
     runs = {}
@@ -208,7 +212,7 @@ def study(parent: Path, change: Path, seeds: int, iters: int, workers: int) -> d
         "rule": ("per gated cell: exact two-sided sign test on paired final regrets, Holm "
                  f"over the gated cells at {ALPHA}; pooled sign test over all gated pairs "
                  f"at {ALPHA}; either rejects only when the change loses more pairs"),
-        "settings": {"seeds": list(range(seeds)), "iters": iters, "workers": workers,
+        "settings": {"seeds": list(range(seeds)), "iters": iters, "workers": WORKERS,
                      "noise_sigma": NOISE_SIGMA, "table": f"{TABLE_LEVELS}^{TABLE_DIM} rows",
                      "bootstrap_resamples": BOOTSTRAP_RESAMPLES, "wall_seconds": elapsed},
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
@@ -225,22 +229,20 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", type=Path, help="checkout root of the parent (has src/popbo)")
     p.add_argument("--change", type=Path, default=ROOT, help="checkout root of the change")
-    p.add_argument("--seeds", type=int, default=30)
-    p.add_argument("--iters", type=int, default=80)
-    p.add_argument("--workers", type=int, default=2)
     p.add_argument("--out", type=Path, help="report path (JSON)")
     p.add_argument("--smoke", action="store_true",
-                   help="2 seeds, 3 iterations, this checkout against itself")
+                   help=f"{SMOKE_SEEDS} seeds, {SMOKE_ITERS} iterations, this checkout "
+                        "against itself")
     args = p.parse_args(argv)
+    seeds, iters = SEEDS, ITERS
     if args.smoke:
-        args.parent, args.change, args.seeds, args.iters = ROOT, ROOT, 2, 3
+        args.parent, args.change, seeds, iters = ROOT, ROOT, SMOKE_SEEDS, SMOKE_ITERS
     if args.parent is None:
         p.error("--parent is required unless --smoke")
     for checkout in (args.parent, args.change):
         if not (checkout / "src" / "popbo").is_dir():
             p.error(f"{checkout} has no src/popbo")
-    report = study(args.parent.resolve(), args.change.resolve(), args.seeds, args.iters,
-                   args.workers)
+    report = study(args.parent.resolve(), args.change.resolve(), seeds, iters)
     text = json.dumps(report, indent=1)
     if args.out is not None:
         args.out.write_text(text + "\n", encoding="utf-8")

@@ -17,8 +17,7 @@ from popbo.acquisition import (
     r_lcb,
 )
 from popbo.errors import DomainError, PreconditionError, RectifiedRegionError
-from popbo.poisson import (log_factorials, log_partial_exp_sum, log_partial_exp_sums, logsumexp,
-                           partial_sum_log_terms)
+from popbo.poisson import log_factorials, log_partial_exp_sum, logsumexp, pmf_vector
 from popbo.space import ContinuousSpace, DiscreteSpace
 from popbo.surrogate import IntensityModel, ObservationSet
 
@@ -220,14 +219,21 @@ def ref_mean(rate, max_rank):
 
 
 def ref_dmean_drate(rate, max_rank):
+    """(slope, size): the slope Var(K) / rate of the truncated mean, from the pmf.
+
+    The library's slope ratio + rate * (S(m-2)/S(m) - ratio^2) is the
+    difference of two terms of size (mean + mean^2) / rate; far above
+    max_rank that is about rate / max_rank times the slope, so the ~1e-14
+    rounding of its log sums moves it by up to about 4e-9 relative (rate 1e4,
+    max_rank 11, against 60-digit mpmath).  The variance, a sum of positive
+    terms, has no such cancellation.
+    """
     if max_rank == 0:
-        return 0.0
-    # One term matrix, as the library's: far above max_rank the slope is about
-    # 1e-4 of its terms, so log sums equal only to rounding (each cut at its
-    # own prefix) would move it by about 1e-9 relative.
-    terms = partial_sum_log_terms(np.array([rate]), max_rank)
-    b, a, c = (float(s[0]) for s in log_partial_exp_sums(terms, 3))
-    return math.exp(a - b) + rate * (math.exp(c - b) - math.exp(2.0 * (a - b)))
+        return 0.0, 0.0
+    p = pmf_vector(rate, max_rank)
+    ks = np.arange(max_rank + 1)
+    mean = float(ks @ p)
+    return float((ks - mean) ** 2 @ p) / rate, (mean + mean * mean) / rate
 
 
 def ref_deri_drate(rate, n_obs, k_max, switch):
@@ -281,10 +287,13 @@ class TestClosedForm:
         cfg = AcquisitionConfig(kind="r-lcb", beta=beta)
         values, slopes = objective_and_drate(rates, n_obs, cfg)
         mu = np.array([r if n_obs >= 12 else ref_mean(float(r), n_obs) for r in rates])
-        dmu = np.array([1.0 if n_obs >= 12 else ref_dmean_drate(float(r), n_obs)
-                        for r in rates])
+        dmu, size = np.array([(1.0, 1.0) if n_obs >= 12 else ref_dmean_drate(float(r), n_obs)
+                              for r in rates]).T
         assert_rel_close(values, np.sqrt(mu) * (np.sqrt(mu) - beta), 1e-11)
-        assert_rel_close(slopes, (1.0 - beta / (2.0 * np.sqrt(mu))) * dmu, 1e-9)
+        # 1e-9 relative, plus 1e-12 of the terms the library's slope cancels.
+        factor = 1.0 - beta / (2.0 * np.sqrt(mu))
+        error = np.abs(slopes - factor * dmu)
+        assert np.all(error <= np.abs(factor) * (1e-9 * dmu + 1e-12 * size))
 
     @pytest.mark.parametrize("kind", ["r-lcb", "eri"])
     @pytest.mark.parametrize("n_obs", [5, 11, 12, 30])
