@@ -33,10 +33,8 @@ from .surrogate import (
     compute_ranks,
     fit,
     grad_log_likelihood,
-    load_model,
     log_likelihood,
     predict,
-    save_model,
 )
 
 __version__ = "0.1.0"

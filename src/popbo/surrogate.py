@@ -17,11 +17,9 @@ input-gradient path is reused by the acquisition optimizer.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -55,10 +53,6 @@ __all__ = [
     "pack_arrays",
     "pack_parameters",
     "set_parameters",
-    "model_to_blob",
-    "model_from_blob",
-    "save_model",
-    "load_model",
 ]
 
 TRUNCATION_SWITCH_N = 12
@@ -190,12 +184,18 @@ class IntensityModel:
     weights and biases are lists of views into it, so training updates the
     whole network with one vector operation.  The constructor copies the
     given arrays into a fresh buffer.
+
+    ``adam_state`` is the optimizer that the last fit left behind: ADAM's
+    flat first and second moments and its step count t, or None before the
+    first fit and after a fit that restored its start.  The next fit
+    continues from it.  copy() returns a model without it, which fits cold.
     """
 
     weights: list
     biases: list
     rng_seed: int = 0
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    adam_state: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.params = pack_arrays(self.weights, self.biases)
@@ -370,11 +370,15 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
 
     Minibatches of size min(batch_size, N) are drawn without replacement
     within an epoch; a leftover smaller than one batch triggers a reshuffle.
-    The learning rate is initial_lr * 0.2 ** (step // decay_every).  If
-    the final full-set negative log-likelihood exceeds the starting one, the
-    initial parameters are restored, so the contract "final NLL <= initial"
-    always holds; the restore is logged at DEBUG level on this module's
-    logger with both NLLs.
+    The learning rate is initial_lr * 0.2 ** (step // decay_every), with
+    step counted from 0 in every fit.  ADAM continues the moments and step
+    count t of model.adam_state when the model carries them (a warm fit)
+    and starts from zero moments otherwise; the fit stores its own back on
+    the model when it ends.  If the final full-set negative log-likelihood
+    exceeds the starting one, the initial parameters are restored and the
+    moments dropped, so the contract "final NLL <= initial" always holds and
+    the next fit starts ADAM afresh; the restore is logged at DEBUG level on
+    this module's logger with both NLLs.  A diverged fit leaves no moments.
 
     Args:
         model: network to train; mutated in place and returned.
@@ -395,8 +399,11 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
     batch = min(cfg.batch_size, n)
 
     nll_start = -log_likelihood(model, obs)
+    # The carried moments come before this fit's temporaries on the heap, so
+    # the temporaries leave one contiguous hole for the proposal to reuse.
+    adam = _Adam(model.params, model.adam_state)
+    model.adam_state = None
     start = model.params.copy()
-    adam = _Adam(model.params)
     grad_w, grad_b = model._views(adam.grad)
 
     perm = np.empty(0, dtype=np.int64)
@@ -416,7 +423,7 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
             raise TrainingDivergedError(step)
         d_rates = ranks / rates - norm_grad
         model._backward(caches, -d_rates / idx.size, grad_w, grad_b)
-        adam.step(cfg.initial_lr * _LR_DECAY ** (step // cfg.decay_every), step + 1)
+        adam.step(cfg.initial_lr * _LR_DECAY ** (step // cfg.decay_every))
 
     nll_end = -log_likelihood(model, obs)
     if not (nll_end <= nll_start):
@@ -424,6 +431,8 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
         model.params[...] = start
         _LOG.debug("fit restored its start parameters: NLL %r at start, %r at end",
                    nll_start, nll_end)
+    else:
+        model.adam_state = (adam.m1, adam.m2, adam.t)
     return model
 
 
@@ -435,18 +444,24 @@ class _Adam:
     c = sqrt(1-b2^t), the same update is p -= (lr*c / (1-b1^t)) * m /
     (sqrt(v) + eps*c), so both bias corrections fold into two scalars and a
     step makes 12 in-place passes over the buffer.
+
+    state (m1, m2, t), as a fit leaves on IntensityModel.adam_state,
+    continues an earlier run: its moment arrays are updated in place and t
+    counts on.  Without it the moments start at zero and t at 0.
     """
 
-    def __init__(self, params: np.ndarray):
+    def __init__(self, params: np.ndarray, state: tuple | None = None):
         self.params = params
+        if state is None:
+            state = (np.zeros_like(params), np.zeros_like(params), 0)
+        self.m1, self.m2, self.t = state
         self.grad = np.empty_like(params)
-        self.m1 = np.zeros_like(params)
-        self.m2 = np.zeros_like(params)
         self._num = np.empty_like(params)
         self._den = np.empty_like(params)
 
-    def step(self, lr: float, t: int):
-        """Apply one update from self.grad at step count t >= 1."""
+    def step(self, lr: float):
+        """Count one more step t and apply its update from self.grad."""
+        self.t = t = self.t + 1
         g, m, v, num, den = self.grad, self.m1, self.m2, self._num, self._den
         c = math.sqrt(1.0 - _ADAM_BETA2 ** t)
         m *= _ADAM_BETA1
@@ -507,38 +522,3 @@ def set_parameters(model: IntensityModel, flat: np.ndarray):
     if flat.size != model.params.size:
         raise InputError(f"parameter vector length {flat.size}, expected {model.params.size}")
     model.params[...] = flat.reshape(-1)
-
-
-def model_to_blob(model: IntensityModel) -> str:
-    """Serialize to a JSON blob: layer-size header plus row-major arrays."""
-    return json.dumps({
-        "layer_sizes": model.layer_sizes,
-        "rng_seed": model.rng_seed,
-        "weights": [w.ravel().tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    })
-
-
-def model_from_blob(blob: str) -> IntensityModel:
-    data = json.loads(blob)
-    sizes = data["layer_sizes"]
-    weights, biases = [], []
-    for fan_in, fan_out, flat_w, flat_b in zip(sizes[:-1], sizes[1:],
-                                               data["weights"], data["biases"]):
-        w = np.asarray(flat_w, dtype=float).reshape(fan_in, fan_out)
-        b = np.asarray(flat_b, dtype=float)
-        if b.shape != (fan_out,):
-            raise InputError("bias block does not match layer-size header")
-        weights.append(w)
-        biases.append(b)
-    if len(weights) != len(sizes) - 1:
-        raise InputError("weight blocks do not match layer-size header")
-    return IntensityModel(weights=weights, biases=biases, rng_seed=int(data["rng_seed"]))
-
-
-def save_model(model: IntensityModel, path):
-    Path(path).write_text(model_to_blob(model), encoding="utf-8")
-
-
-def load_model(path) -> IntensityModel:
-    return model_from_blob(Path(path).read_text(encoding="utf-8"))

@@ -160,6 +160,22 @@ class TestDeterminism:
         assert len(fitted) == 4
         assert all(model is fitted[0] for model in fitted)
 
+    @pytest.mark.parametrize("steps", [100, 15])
+    def test_warm_fits_run_at_most_warm_steps(self, monkeypatch, steps):
+        seen = []
+        real_fit = engine.fit
+
+        def spy(model, obs, cfg, rng=None):
+            seen.append((cfg.steps, model.adam_state is None))
+            return real_fit(model, obs, cfg, rng=rng)
+
+        monkeypatch.setattr(engine, "fit", spy)
+        run(get_benchmark("branin"),
+            small_config(n_iters=3, surrogate=TrainConfig(steps=steps)))
+        warm = min(steps, engine._WARM_STEPS)
+        assert [s for s, _ in seen] == [steps, warm, warm]
+        assert seen[0][1]  # the first fit starts ADAM cold
+
 
 class TestEvaluationFailure:
     class Flaky:

@@ -29,14 +29,11 @@ from popbo.surrogate import (
     compute_ranks,
     fit,
     grad_log_likelihood,
-    load_model,
     log_likelihood,
-    model_from_blob,
-    model_to_blob,
+    pack_arrays,
     pack_parameters,
     predict,
     rate_gradient,
-    save_model,
     set_parameters,
 )
 
@@ -409,15 +406,91 @@ class TestAdam:
         m1 = rng.normal(size=n) * 1e-3
         m2 = 10.0 ** rng.uniform(-20, 0, size=n)
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
-        adam = _Adam(np.zeros(n))
-        adam.grad[...], adam.m1[...], adam.m2[...] = grad, m1, m2
-        adam.step(lr, t)
+        adam = _Adam(np.zeros(n), (m1.copy(), m2.copy(), t - 1))
+        adam.grad[...] = grad
+        adam.step(lr)
+        assert adam.t == t
         m = b1 * m1 + (1.0 - b1) * grad
         v = b2 * m2 + (1.0 - b2) * grad ** 2
         update = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
         np.testing.assert_array_equal(adam.m1, m)
         np.testing.assert_array_equal(adam.m2, v)
         np.testing.assert_allclose(adam.params, -update, rtol=1e-14, atol=0.0)
+
+
+class TestCarriedAdam:
+    """A fit continues the ADAM moments and step count the last fit left."""
+
+    @staticmethod
+    def fitted(steps=5):
+        obs = random_obs(np.random.default_rng(50), 6, 2)
+        model = IntensityModel.create(2, hidden=(8, 8), rng_seed=4)
+        fit(model, obs, TrainConfig(steps=steps), rng=np.random.default_rng(0))
+        return model, obs
+
+    def test_second_fit_continues_reference_adam(self):
+        # Full batches, so each step's gradient is the full-set one; the
+        # reference keeps one textbook ADAM across both fits, with the
+        # learning-rate schedule restarting at each fit.
+        obs = random_obs(np.random.default_rng(50), 6, 2)
+        model = IntensityModel.create(2, hidden=(8, 8), rng_seed=4)
+        reference = model.copy()
+        cfg = TrainConfig(steps=5, decay_every=3)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        m = np.zeros_like(model.params)
+        v = np.zeros_like(model.params)
+        t = 0
+        for fit_seed in (0, 1):
+            fit(model, obs, cfg, rng=np.random.default_rng(fit_seed))
+            for step in range(cfg.steps):
+                t += 1
+                g = -pack_arrays(*grad_log_likelihood(reference, obs)) / len(obs)
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g ** 2
+                lr = cfg.initial_lr * 0.2 ** (step // cfg.decay_every)
+                reference.params -= (lr * (m / (1.0 - b1 ** t))
+                                     / (np.sqrt(v / (1.0 - b2 ** t)) + eps))
+            m1, m2, t_model = model.adam_state
+            assert t_model == t
+            np.testing.assert_allclose(m1, m, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(m2, v, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(model.params, reference.params, rtol=1e-12, atol=0.0)
+
+    def test_copy_carries_no_moments(self):
+        model, _ = self.fitted()
+        assert model.adam_state is not None
+        clone = model.copy()
+        assert clone.adam_state is None
+        np.testing.assert_array_equal(clone.params, model.params)
+
+    def test_restored_fit_drops_moments(self):
+        # Large constant steps on tiny batches overshoot: the start is restored.
+        model, obs = self.fitted()
+        assert model.adam_state is not None
+        start = pack_parameters(model).copy()
+        fit(model, obs, TrainConfig(steps=20, initial_lr=0.5, batch_size=3),
+            rng=np.random.default_rng(4))
+        np.testing.assert_array_equal(pack_parameters(model), start)
+        assert model.adam_state is None
+
+    def test_zero_steps_leaves_parameters_and_moments_untouched(self):
+        model, obs = self.fitted()
+        params = pack_parameters(model).copy()
+        state = model.adam_state
+        m1, m2 = state[0].copy(), state[1].copy()
+        fit(model, obs, TrainConfig(steps=0))
+        np.testing.assert_array_equal(pack_parameters(model), params)
+        assert model.adam_state is state
+        np.testing.assert_array_equal(state[0], m1)
+        np.testing.assert_array_equal(state[1], m2)
+
+    def test_diverged_fit_leaves_no_moments(self):
+        model = constant_rate_model(1, -800.0)
+        model.adam_state = (np.zeros_like(model.params), np.zeros_like(model.params), 3)
+        obs = ObservationSet.from_values([[0.1], [0.9]], [1.0, 2.0])
+        with pytest.raises(TrainingDivergedError):
+            fit(model, obs, TrainConfig(steps=10), rng=np.random.default_rng(0))
+        assert model.adam_state is None
 
 
 class TestPredict:
@@ -476,32 +549,6 @@ class TestPredict:
 
 
 class TestSerialization:
-    def test_blob_round_trip_is_exact(self):
-        model = IntensityModel.create(3, hidden=(8, 4), rng_seed=17)
-        clone = model_from_blob(model_to_blob(model))
-        assert clone.layer_sizes == model.layer_sizes
-        assert clone.rng_seed == model.rng_seed
-        for a, b in zip(model.weights, clone.weights):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(model.biases, clone.biases):
-            np.testing.assert_array_equal(a, b)
-
-    def test_file_round_trip_preserves_rates(self, tmp_path):
-        rng = np.random.default_rng(18)
-        model = IntensityModel.create(2, hidden=(8, 8), rng_seed=18)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        x = rng.uniform(size=(20, 2))
-        np.testing.assert_array_equal(loaded.rates(x), model.rates(x))
-
-    def test_corrupt_blob_rejected(self):
-        model = IntensityModel.create(2, hidden=(4,), rng_seed=0)
-        blob = model_to_blob(model)
-        broken = blob.replace('"rng_seed"', '"rng_seed_x"')
-        with pytest.raises((InputError, KeyError)):
-            model_from_blob(broken)
-
     def test_pack_set_round_trip(self):
         model = IntensityModel.create(2, hidden=(4, 4), rng_seed=9)
         theta = pack_parameters(model).copy()
