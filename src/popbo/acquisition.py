@@ -195,18 +195,18 @@ def _projected_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return pg
 
 
-def _two_loop_direction(g: np.ndarray, s_hist: list, y_hist: list) -> np.ndarray:
+def _two_loop_direction(g: np.ndarray, history: list) -> np.ndarray:
+    """L-BFGS direction -H g from the (s, y, rho = 1 / (y . s)) pairs, oldest first."""
     q = g.copy()
     alphas = []
-    for s, y in zip(reversed(s_hist), reversed(y_hist)):
-        rho = 1.0 / float(np.dot(y, s))
+    for s, y, rho in reversed(history):
         a = rho * float(np.dot(s, q))
         q -= a * y
-        alphas.append((a, rho))
-    if s_hist:
-        s, y = s_hist[-1], y_hist[-1]
+        alphas.append(a)
+    if history:
+        s, y, _ = history[-1]
         q *= float(np.dot(s, y)) / float(np.dot(y, y))
-    for (s, y), (a, rho) in zip(zip(s_hist, y_hist), reversed(alphas)):
+    for (s, y, rho), a in zip(history, reversed(alphas)):
         b = rho * float(np.dot(y, q))
         q += (a - b) * s
     return -q
@@ -234,13 +234,12 @@ def _descend(model: IntensityModel, x0: np.ndarray, cfg: AcquisitionConfig,
     if rate >= threshold:
         return x, None, True
     g = obj_grad(x)
-    s_hist: list = []
-    y_hist: list = []
+    history: list = []
 
     for _ in range(_LBFGS_MAX_ITER):
         if np.abs(_projected_gradient(x, g)).max() < _LBFGS_GTOL:
             break
-        p = _two_loop_direction(g, s_hist, y_hist)
+        p = _two_loop_direction(g, history)
         if float(np.dot(p, g)) >= 0.0:
             p = -g
         alpha = 1.0
@@ -262,12 +261,11 @@ def _descend(model: IntensityModel, x0: np.ndarray, cfg: AcquisitionConfig,
         g_new = obj_grad(x_new)
         s = x_new - x
         y = g_new - g
-        if float(np.dot(s, y)) > 1e-10:
-            s_hist.append(s)
-            y_hist.append(y)
-            if len(s_hist) > _LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
+        sy = float(np.dot(s, y))
+        if sy > 1e-10:
+            history.append((s, y, 1.0 / sy))
+            if len(history) > _LBFGS_MEMORY:
+                history.pop(0)
         x, f, g = x_new, f_new, g_new
     return x, f, False
 

@@ -62,6 +62,10 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 _LR_DECAY = 0.2
+# fit trains a float32 copy of the float64 parameters (README, "Numerical
+# layout"), flushing ADAM's decaying moments once every _FLUSH_EVERY steps.
+_TRAIN_DTYPE = np.float32
+_FLUSH_EVERY = 100
 
 
 def _expit(t: float) -> float:
@@ -238,20 +242,29 @@ class IntensityModel:
     def copy(self) -> "IntensityModel":
         return IntensityModel(self.weights, self.biases, self.rng_seed)
 
-    def _forward(self, x: np.ndarray):
-        """Batched forward pass; returns (rates, caches) for backprop."""
+    def _forward(self, x: np.ndarray, layers=None, keep: bool = True):
+        """Batched forward pass; returns (rates, caches) for backprop.
+
+        layers is a (weights, biases) pair shaped like the model's, such as
+        fit's float32 working copy, or None for the model's own float64
+        parameters; x should share its dtype.  The output pre-activation is
+        cast to float64 before the softplus, so the rates are float64 and no
+        float32 exp underflow turns a rate into 0.  Without keep, only the
+        current layer is held and caches is None.
+        """
+        weights, biases = layers or (self.weights, self.biases)
         h = x
         inputs = [h]
         pre_acts = []
-        n_hidden = len(self.weights) - 1
-        for layer in range(n_hidden):
-            pre = h @ self.weights[layer] + self.biases[layer]
+        for w, b in zip(weights[:-1], biases[:-1]):
+            pre = h @ w + b
             h = np.maximum(pre, 0.0)
-            pre_acts.append(pre)
-            inputs.append(h)
-        z = (h @ self.weights[-1] + self.biases[-1])[:, 0]
+            if keep:
+                pre_acts.append(pre)
+                inputs.append(h)
+        z = (h @ weights[-1] + biases[-1])[:, 0].astype(float)
         rates = np.logaddexp(0.0, z)
-        return rates, (inputs, pre_acts, z)
+        return rates, (inputs, pre_acts, z) if keep else None
 
     def rates(self, x) -> np.ndarray:
         """Predicted rates for a batch of points, shape (n, d) -> (n,)."""
@@ -260,9 +273,9 @@ class IntensityModel:
             raise InputError(f"expected shape (n, {self.dim}), got {x.shape}")
         if not np.isfinite(x).all():
             raise InputError("non-finite inputs")
-        return self._forward(x)[0]
+        return self._forward(x, keep=False)[0]
 
-    def _backward(self, caches, d_rates: np.ndarray, grad_w: list, grad_b: list):
+    def _backward(self, caches, d_rates: np.ndarray, grad_w: list, grad_b: list, weights=None):
         """Parameter gradients of sum_j d_rates[j] * rate_j.
 
         Args:
@@ -270,18 +283,23 @@ class IntensityModel:
             d_rates: (n,) upstream derivative with respect to each rate.
             grad_w, grad_b: per-layer views (from _views) of a flat buffer
                 shaped like params; overwritten.
+            weights: the weight arrays the forward pass used, None for the
+                model's own.  Each output delta is formed in float64 and
+                then cast to their dtype.
         """
+        weights = weights or self.weights
         inputs, pre_acts, z = caches
-        delta = (d_rates * np.array([_expit(t) for t in z.tolist()]))[:, None]
+        delta = (d_rates * np.array([_expit(t) for t in z.tolist()])).astype(
+            weights[-1].dtype, copy=False)[:, None]
         np.matmul(inputs[-1].T, delta, out=grad_w[-1])
         delta.sum(axis=0, out=grad_b[-1])
-        downstream = delta @ self.weights[-1].T
-        for layer in range(len(self.weights) - 2, -1, -1):
+        downstream = delta @ weights[-1].T
+        for layer in range(len(weights) - 2, -1, -1):
             delta = downstream * (pre_acts[layer] > 0.0)
             np.matmul(inputs[layer].T, delta, out=grad_w[layer])
             delta.sum(axis=0, out=grad_b[layer])
             if layer > 0:
-                downstream = delta @ self.weights[layer].T
+                downstream = delta @ weights[layer].T
 
     def rate_and_input_grad(self, x):
         """Rate at a single point and its gradient with respect to x.
@@ -374,11 +392,16 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
     step counted from 0 in every fit.  ADAM continues the moments and step
     count t of model.adam_state when the model carries them (a warm fit)
     and starts from zero moments otherwise; the fit stores its own back on
-    the model when it ends.  If the final full-set negative log-likelihood
-    exceeds the starting one, the initial parameters are restored and the
-    moments dropped, so the contract "final NLL <= initial" always holds and
-    the next fit starts ADAM afresh; the restore is logged at DEBUG level on
-    this module's logger with both NLLs.  A diverged fit leaves no moments.
+    the model when it ends.  Training runs on a float32 copy of
+    model.params (forward, backward, gradient and moments; the rates and
+    the rank law stay float64), written back into the float64 params before
+    the final NLL; every _FLUSH_EVERY steps, moments that could decay into
+    the subnormal range are zeroed (_Adam.flush).  If the final full-set
+    negative log-likelihood exceeds the starting one, the initial
+    parameters are restored and the moments dropped, so the contract "final
+    NLL <= initial" always holds and the next fit starts ADAM afresh; the
+    restore is logged at DEBUG level on this module's logger with both NLLs.
+    A diverged fit leaves no moments.
 
     Args:
         model: network to train; mutated in place and returned.
@@ -399,12 +422,13 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
     batch = min(cfg.batch_size, n)
 
     nll_start = -log_likelihood(model, obs)
-    # The carried moments come before this fit's temporaries on the heap, so
-    # the temporaries leave one contiguous hole for the proposal to reuse.
-    adam = _Adam(model.params, model.adam_state)
+    # This fit's float32 arrays are allocated together, after the carried
+    # moments, so once freed they leave one contiguous hole for the proposal.
+    adam = _Adam(model.params.astype(_TRAIN_DTYPE), model.adam_state)
     model.adam_state = None
-    start = model.params.copy()
+    layers = model._views(adam.params)
     grad_w, grad_b = model._views(adam.grad)
+    points = obs.points.astype(_TRAIN_DTYPE)
 
     perm = np.empty(0, dtype=np.int64)
     pos = 0
@@ -415,16 +439,20 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
         idx = perm[pos:pos + batch]
         pos += batch
 
-        rates, caches = model._forward(obs.points[idx])
+        rates, caches = model._forward(points[idx], layers)
         ranks = obs.ranks[idx]
         norm, norm_grad = _normalizer(rates, n, slope=True)
         # The sum is finite exactly when the mean loss is.
         if not math.isfinite(float(_ll_terms(rates, ranks, norm).sum())):
             raise TrainingDivergedError(step)
         d_rates = ranks / rates - norm_grad
-        model._backward(caches, -d_rates / idx.size, grad_w, grad_b)
+        model._backward(caches, -d_rates / idx.size, grad_w, grad_b, layers[0])
+        if step % _FLUSH_EVERY == 0:
+            adam.flush()
         adam.step(cfg.initial_lr * _LR_DECAY ** (step // cfg.decay_every))
 
+    start = model.params.copy()
+    model.params[...] = adam.params
     nll_end = -log_likelihood(model, obs)
     if not (nll_end <= nll_start):
         # ADAM overshot (or broke) on this set; keep the no-worse parameters.
@@ -458,6 +486,19 @@ class _Adam:
         self.grad = np.empty_like(params)
         self._num = np.empty_like(params)
         self._den = np.empty_like(params)
+
+    def flush(self):
+        """Zero each moment that _FLUSH_EVERY steps of decay could take subnormal.
+
+        A parameter whose gradient is exactly 0 (a dead rectified unit) keeps
+        its moments, which then shrink by beta per step.  Subnormal operands
+        make every pass over the buffer several times slower, so any moment
+        below tiny / beta ** _FLUSH_EVERY is set to 0 here; called once per
+        _FLUSH_EVERY steps, no moment decays below tiny in between.
+        """
+        tiny = float(np.finfo(self.params.dtype).tiny)
+        for m, beta in ((self.m1, _ADAM_BETA1), (self.m2, _ADAM_BETA2)):
+            m[np.abs(m) < tiny / beta ** _FLUSH_EVERY] = 0.0
 
     def step(self, lr: float):
         """Count one more step t and apply its update from self.grad."""

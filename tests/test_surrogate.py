@@ -18,6 +18,7 @@ from popbo.errors import (
 from popbo import poisson as popbo_poisson
 from popbo.poisson import TruncatedPoisson, log_partial_exp_sum, truncated_mean
 from popbo.surrogate import (
+    DEFAULT_HIDDEN,
     TRUNCATION_SWITCH_N,
     IntensityModel,
     ObservationSet,
@@ -430,31 +431,48 @@ class TestCarriedAdam:
 
     def test_second_fit_continues_reference_adam(self):
         # Full batches, so each step's gradient is the full-set one; the
-        # reference keeps one textbook ADAM across both fits, with the
-        # learning-rate schedule restarting at each fit.
+        # reference keeps one textbook float32 ADAM across both fits, with
+        # the learning-rate schedule restarting at each fit.  It draws the
+        # fit's permutations and takes its gradient from the model's own
+        # float32 forward and backward passes, so only the ADAM arithmetic
+        # differs: the textbook form rounds each step differently from the
+        # folded one, and a parameter that moves by an ulp moves the next
+        # gradient by about an ulp.  Each side thus rounds every parameter,
+        # moment and gradient entry at most once more per step than the
+        # other, so after T steps the two stay within 4 * T float32 unit
+        # roundoffs of the largest entry (measured: under one).
         obs = random_obs(np.random.default_rng(50), 6, 2)
         model = IntensityModel.create(2, hidden=(8, 8), rng_seed=4)
-        reference = model.copy()
+        reference = model.params.astype(np.float32)
+        layers = model._views(reference)
+        points = obs.points.astype(np.float32)
         cfg = TrainConfig(steps=5, decay_every=3)
         b1, b2, eps = 0.9, 0.999, 1e-8
-        m = np.zeros_like(model.params)
-        v = np.zeros_like(model.params)
+        m = np.zeros_like(reference)
+        v = np.zeros_like(reference)
         t = 0
         for fit_seed in (0, 1):
             fit(model, obs, cfg, rng=np.random.default_rng(fit_seed))
+            batches = np.random.default_rng(fit_seed)
             for step in range(cfg.steps):
                 t += 1
-                g = -pack_arrays(*grad_log_likelihood(reference, obs)) / len(obs)
+                idx = batches.permutation(len(obs))
+                rates, caches = model._forward(points[idx], layers)
+                g = np.empty_like(reference)
+                d_rates = rate_gradient(rates, obs.ranks[idx], len(obs))
+                model._backward(caches, -d_rates / len(obs), *model._views(g), layers[0])
                 m = b1 * m + (1.0 - b1) * g
                 v = b2 * v + (1.0 - b2) * g ** 2
                 lr = cfg.initial_lr * 0.2 ** (step // cfg.decay_every)
-                reference.params -= (lr * (m / (1.0 - b1 ** t))
-                                     / (np.sqrt(v / (1.0 - b2 ** t)) + eps))
+                reference -= (lr * (m / (1.0 - b1 ** t))
+                              / (np.sqrt(v / (1.0 - b2 ** t)) + eps)).astype(np.float32)
             m1, m2, t_model = model.adam_state
             assert t_model == t
-            np.testing.assert_allclose(m1, m, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(m2, v, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(model.params, reference.params, rtol=1e-12, atol=0.0)
+            assert m1.dtype == m2.dtype == np.float32
+            bound = 4 * t * float(np.finfo(np.float32).eps) / 2
+            for got, want in ((m1, m), (m2, v), (model.params, reference)):
+                scale = float(np.abs(want).max())
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=bound * scale)
 
     def test_copy_carries_no_moments(self):
         model, _ = self.fitted()
@@ -491,6 +509,114 @@ class TestCarriedAdam:
         with pytest.raises(TrainingDivergedError):
             fit(model, obs, TrainConfig(steps=10), rng=np.random.default_rng(0))
         assert model.adam_state is None
+
+
+class TestFloat32Training:
+    """fit trains a float32 copy; the rates and the rank law stay float64."""
+
+    @staticmethod
+    def first_gradient(model, obs):
+        """The float32 gradient the fit hands ADAM on its first full-batch step."""
+        seen = []
+        step = _Adam.step
+
+        def spy(adam, lr):
+            seen.append(adam.grad.copy())
+            step(adam, lr)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Adam, "step", spy)
+            fit(model.copy(), obs, TrainConfig(steps=1, batch_size=len(obs)),
+                rng=np.random.default_rng(0))
+        return seen[0]
+
+    @pytest.mark.parametrize("n,dim,hidden,seed", [
+        (35, 6, DEFAULT_HIDDEN, 0), (35, 6, DEFAULT_HIDDEN, 1),
+        (11, 4, DEFAULT_HIDDEN, 2), (5, 2, (8, 8, 8), 3),
+    ])
+    def test_gradient_agrees_with_float64(self, n, dim, hidden, seed):
+        # CRITERION 2 checks the float64 gradient against central
+        # differences.  The float32 one is compared with it at the same
+        # (float32-representable) parameters.  Each of the forward's and the
+        # backward's gemms, one per layer, sums at most k products, with k
+        # the widest fan-in or batch; the classic bound puts its error below
+        # k float32 unit roundoffs u of the terms' magnitude, so the two
+        # gradients differ by less than 2 * layers * k * u of the largest
+        # entry (6e-5 relative for the default network; measured 1e-7 to
+        # 1e-6).
+        rng = np.random.default_rng(seed)
+        obs = random_obs(rng, n, dim)
+        model = IntensityModel.create(dim, hidden=hidden, rng_seed=seed)
+        model.params[...] = model.params.astype(np.float32)
+        got = self.first_gradient(model, obs)
+        assert got.dtype == np.float32
+        want = -pack_arrays(*grad_log_likelihood(model, obs)) / n
+        layers = len(hidden) + 1
+        k = max(max(dim, *hidden), n)
+        u = float(np.finfo(np.float32).eps) / 2
+        bound = 2 * layers * k * u * float(np.abs(want).max())
+        assert float(np.abs(got - want).max()) <= bound
+
+    def test_far_negative_output_bias_fits(self):
+        # float32 softplus(-200) underflows to a rate of exactly 0, which
+        # would make a positive rank's log-term -inf; in float64 it is
+        # about 1.4e-87.
+        assert np.logaddexp(np.float32(0.0), np.float32(-200.0)) == 0.0
+        model = constant_rate_model(1, -200.0)
+        obs = ObservationSet.from_values([[0.1], [0.9]], [1.0, 2.0])
+        start = log_likelihood(model, obs)
+        assert math.isfinite(start)
+        fit(model, obs, TrainConfig(steps=10), rng=np.random.default_rng(0))
+        assert log_likelihood(model, obs) >= start
+        rates = model.rates(obs.points)
+        assert rates.dtype == np.float64 and (rates > 0.0).all()
+
+    def test_inference_stays_float64(self):
+        model, obs = TestCarriedAdam.fitted()
+        assert model.params.dtype == np.float64
+        assert model.rates(obs.points).dtype == np.float64
+        assert isinstance(log_likelihood(model, obs), float)
+        assert all(g.dtype == np.float64 for g in sum(grad_log_likelihood(model, obs), []))
+
+    @pytest.mark.parametrize("steps", [60, 250])
+    def test_no_moment_goes_subnormal(self, steps):
+        # Units 0-15 of the first layer are dead for every input, so their
+        # parameters get exactly zero gradient and their moments only decay.
+        # Every moment starts just above the normal floor; without the flush
+        # the first moments would be subnormal after 7 steps.
+        tiny = np.finfo(np.float32).tiny
+        rng = np.random.default_rng(7)
+        obs = random_obs(rng, 20, 3)
+        model = IntensityModel.create(3, hidden=(32, 32, 32), rng_seed=7)
+        model.biases[0][:16] = -50.0
+        size = model.params.size
+        model.adam_state = (np.float32(2.0 * tiny) * rng.choice([-1.0, 1.0], size).astype(np.float32),
+                            np.full(size, 2.0 * tiny, dtype=np.float32), 500)
+        subnormal = []
+        step = _Adam.step
+
+        def checked(adam, lr):
+            step(adam, lr)
+            for m in (adam.m1, adam.m2):
+                subnormal.append(int(((m != 0.0) & (np.abs(m) < tiny)).sum()))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Adam, "step", checked)
+            for fit_seed in range(3):
+                fit(model, obs, TrainConfig(steps=steps), rng=np.random.default_rng(fit_seed))
+        assert len(subnormal) == 2 * 3 * steps
+        assert max(subnormal) == 0
+        assert model.adam_state is not None
+
+    def test_flush_zeroes_only_what_could_decay_subnormal(self):
+        tiny = float(np.finfo(np.float32).tiny)
+        floors = [tiny / 0.9 ** 100, tiny / 0.999 ** 100]
+        adam = _Adam(np.zeros(4, dtype=np.float32))
+        for m, floor in zip((adam.m1, adam.m2), floors):
+            m[...] = [floor * 0.99, -floor * 0.99, floor * 1.01, 1.0]
+        adam.flush()
+        for m, floor in zip((adam.m1, adam.m2), floors):
+            np.testing.assert_array_equal(m, np.array([0.0, 0.0, floor * 1.01, 1.0], np.float32))
 
 
 class TestPredict:
