@@ -1,6 +1,6 @@
 """Ranking-surrogate Bayesian optimization with a benchmark harness."""
 
-from .acquisition import AcquisitionConfig, eri, grad_acquisition, lcb, propose_next, r_lcb
+from .acquisition import AcquisitionConfig, eri, grad_acquisition, lcb, propose_next
 from .benchmarks import (
     BenchmarkFunction,
     TabularBenchmark,
@@ -18,13 +18,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .harness import ExperimentConfig, random_search_baseline, run_experiment
-from .poisson import (
-    RankPosterior,
-    TruncatedPoisson,
-    correct_ranking_probability,
-    pmf,
-    truncated_mean,
-)
+from .poisson import TruncatedPoisson, correct_ranking_probability, pmf_vector, truncated_mean
 from .space import ContinuousSpace, DiscreteSpace
 from .surrogate import (
     IntensityModel,
@@ -34,7 +28,6 @@ from .surrogate import (
     fit,
     grad_log_likelihood,
     log_likelihood,
-    predict,
 )
 
 __version__ = "0.1.0"

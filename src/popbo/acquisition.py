@@ -27,12 +27,11 @@ from .errors import DomainError, PreconditionError, RectifiedRegionError
 from .poisson import (log_factorials, log_partial_exp_sum, log_partial_exp_sums, logsumexp,
                       partial_sum_log_terms, truncated_means)
 from .space import ContinuousSpace, DiscreteSpace
-from .surrogate import TRUNCATION_SWITCH_N, IntensityModel, ObservationSet
+from .surrogate import TRUNCATION_SWITCH_N, IntensityModel, ObservationSet, is_count
 
 __all__ = [
     "AcquisitionConfig",
     "lcb",
-    "r_lcb",
     "eri",
     "grad_acquisition",
     "propose_next",
@@ -74,8 +73,8 @@ class AcquisitionConfig:
         if not (0 < q <= 1):
             raise DomainError(f"q must lie in (0, 1], got {q!r}")
         object.__setattr__(self, "q", float(q))
-        if self.k_max < 0:
-            raise DomainError(f"k_max must be >= 0, got {self.k_max}")
+        if not is_count(self.k_max, 0):
+            raise DomainError(f"k_max must be an integer >= 0, got {self.k_max!r}")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise DomainError(f"beta must be finite and >= 0, got {self.beta!r}")
 
@@ -134,25 +133,6 @@ def _objective_at(rate: float, n_obs: int, cfg: AcquisitionConfig) -> float:
         raise DomainError(f"rate must be finite and >= 0, got {rate!r}")
     values, _ = objective_and_drate(np.array([float(rate)]), n_obs, cfg, drate=False)
     return float(values[0])
-
-
-def r_lcb(rate: float, n_obs: int, cfg: AcquisitionConfig, eps: float) -> tuple[float, bool]:
-    """Rectified LCB: the LCB below the rate threshold q * n_obs, else eps.
-
-    Args:
-        rate: predicted rate, finite and >= 0.
-        n_obs: number of observed points.
-        cfg: supplies q and beta.
-        eps: caller-supplied uniform draw in [0, 1], passed through when the
-            point is rectified (reparameterized for testability).
-
-    Returns:
-        (value, rectified flag).
-    """
-    value = lcb(rate, n_obs, cfg.beta)  # DomainError unless the rate is finite and >= 0
-    if rate < cfg.q * n_obs:
-        return value, False
-    return float(eps), True
 
 
 def eri(rate: float, n_obs: int, k_max: int) -> float:

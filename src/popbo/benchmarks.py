@@ -126,10 +126,6 @@ class BenchmarkFunction:
         x_norm = np.asarray(x_norm, dtype=float)
         return self.bounds[:, 0] + x_norm * (self.bounds[:, 1] - self.bounds[:, 0])
 
-    def normalize(self, x_raw: np.ndarray) -> np.ndarray:
-        x_raw = np.asarray(x_raw, dtype=float)
-        return (x_raw - self.bounds[:, 0]) / (self.bounds[:, 1] - self.bounds[:, 0])
-
     def trace_point(self, x_norm: np.ndarray) -> np.ndarray:
         """Coordinates to record in traces: the raw (de-normalized) point."""
         return self.denormalize(x_norm)

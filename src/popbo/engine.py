@@ -27,6 +27,7 @@ from .surrogate import (
     TrainConfig,
     compute_ranks,
     fit,
+    is_count,
 )
 
 __all__ = ["BoRunConfig", "TraceRecord", "RegretTrace", "run", "random_search_baseline",
@@ -43,9 +44,10 @@ class BoRunConfig:
     """One optimization run.
 
     hidden widths are configurable only so tests can run tiny networks; the
-    production architecture is the default.  ERI's k_max may not exceed
-    n_init: the first proposal ranks against n_init observations, so such a
-    config is rejected here, before any evaluation is spent.
+    production architecture is the default.  Settings are checked here,
+    before any evaluation is spent: each count (n_init, n_iters, each hidden
+    width) must be an integer, and ERI's k_max may not exceed n_init, since
+    the first proposal ranks against n_init observations.
     """
 
     n_init: int = 12
@@ -56,10 +58,12 @@ class BoRunConfig:
     hidden: tuple = DEFAULT_HIDDEN
 
     def __post_init__(self):
-        if self.n_init < 2:
-            raise InputError(f"n_init must be >= 2, got {self.n_init}")
-        if self.n_iters < 0:
-            raise InputError(f"n_iters must be >= 0, got {self.n_iters}")
+        if not is_count(self.n_init, 2):
+            raise InputError(f"n_init must be an integer >= 2, got {self.n_init!r}")
+        if not is_count(self.n_iters, 0):
+            raise InputError(f"n_iters must be an integer >= 0, got {self.n_iters!r}")
+        if not all(is_count(width, 1) for width in self.hidden):
+            raise InputError(f"hidden widths must be integers >= 1, got {self.hidden!r}")
         if self.acquisition.kind == "eri" and self.acquisition.k_max > self.n_init:
             raise InputError(f"k_max={self.acquisition.k_max} exceeds n_init={self.n_init}")
 

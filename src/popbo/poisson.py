@@ -10,7 +10,9 @@ normalizer, so it is never evaluated.  All arithmetic runs in log space so
 that rates up to 1e4 neither overflow nor lose the small-probability tail.
 Every normalizer and mean (fit, likelihood, acquisition, truncated_mean) is
 read off one term matrix, log(rate^i / i!) for i = 0..m, by
-log_partial_exp_sums; pmf_vector is the one pmf the library reports.
+log_partial_exp_sums.  pmf_vector, the library's one pmf, is built apart
+from that matrix (outward from the mode), so it is also an independent
+reference for those values.
 
 Everything here is pure and stateless: no learning, no I/O, no hidden RNG.
 """
@@ -27,8 +29,6 @@ from .errors import DomainError
 
 __all__ = [
     "TruncatedPoisson",
-    "RankPosterior",
-    "pmf",
     "pmf_vector",
     "truncated_mean",
     "truncated_means",
@@ -189,49 +189,6 @@ class TruncatedPoisson:
             raise DomainError(f"rate must be finite and >= 0, got {self.rate!r}")
         object.__setattr__(self, "rate", float(self.rate))
         object.__setattr__(self, "max_rank", int(self.max_rank))
-
-
-@dataclass(frozen=True)
-class RankPosterior:
-    """Predicted rank distribution of a candidate.
-
-    Attributes:
-        pmf: probabilities indexed by rank k = 0, 1, ...
-        mean: expected rank.
-        stddev: reported spread, defined as sqrt(mean) in both regimes.
-    """
-
-    pmf: np.ndarray
-    mean: float
-    stddev: float
-
-    def __post_init__(self):
-        p = np.asarray(self.pmf, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise DomainError("pmf must be a non-empty vector")
-        if p.min() < 0.0:
-            raise DomainError("pmf entries must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise DomainError(f"pmf mass {p.sum()!r} deviates from 1 beyond 1e-12")
-        expected = float(np.dot(np.arange(p.size, dtype=float), p))
-        if abs(expected - self.mean) > 1e-10:
-            raise DomainError(
-                f"mean {self.mean!r} deviates from sum(k * pmf) = {expected!r} beyond 1e-10"
-            )
-        if not math.isclose(self.stddev, math.sqrt(self.mean), rel_tol=1e-12, abs_tol=1e-15):
-            raise DomainError("stddev must equal sqrt(mean)")
-        object.__setattr__(self, "pmf", p)
-        object.__setattr__(self, "mean", float(self.mean))
-        object.__setattr__(self, "stddev", float(self.stddev))
-
-
-def pmf(dist: TruncatedPoisson, k: int) -> float:
-    """Probability that the rank equals k in [0, max_rank]; other k raise DomainError."""
-    if not isinstance(k, (int, np.integer)):
-        raise DomainError(f"rank k must be an integer, got {k!r}")
-    if k < 0 or k > dist.max_rank:
-        raise DomainError(f"rank k={k} outside support [0, {dist.max_rank}]")
-    return float(pmf_vector(dist.rate, dist.max_rank)[k])
 
 
 def pmf_vector(rate: float, max_rank: int) -> np.ndarray:

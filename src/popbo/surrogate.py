@@ -6,7 +6,7 @@ follow truncated Poisson laws parameterized by that rate; maximizing their
 joint log-likelihood trains the network.  Below TRUNCATION_SWITCH_N (12)
 observations the truncated normalizer S(N-1) is used; at or above it the plain
 Poisson form applies.  That constant is the one place the regime is decided,
-for the likelihood, the posterior and the acquisition alike.
+for the likelihood and the acquisition alike.
 
 The network is fixed to three hidden rectified-linear layers (width 128) with
 a softplus output for positivity; widths are configurable only so tests can
@@ -23,18 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InputError, PreconditionError, TrainingDivergedError
+from .errors import InputError, PreconditionError, TrainingDivergedError
 # Unused but bound: perfbench/tracer.py patches log_partial_exp_sum.
-from .poisson import (
-    RankPosterior,
-    TruncatedPoisson,
-    log_factorials,
-    log_partial_exp_sum,
-    log_partial_exp_sums,
-    partial_sum_log_terms,
-    pmf_vector,
-    truncated_mean,
-)
+from .poisson import (log_factorials, log_partial_exp_sum, log_partial_exp_sums,
+                      partial_sum_log_terms)
 
 _LOG = logging.getLogger(__name__)
 
@@ -49,10 +41,7 @@ __all__ = [
     "grad_log_likelihood",
     "rate_gradient",
     "fit",
-    "predict",
     "pack_arrays",
-    "pack_parameters",
-    "set_parameters",
 ]
 
 TRUNCATION_SWITCH_N = 12
@@ -66,6 +55,12 @@ _LR_DECAY = 0.2
 # layout"), flushing ADAM's decaying moments once every _FLUSH_EVERY steps.
 _TRAIN_DTYPE = np.float32
 _FLUSH_EVERY = 100
+
+
+def is_count(value, minimum: int) -> bool:
+    """Whether value is an integer (a Python or numpy int, not a bool) >= minimum."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum)
 
 
 def _expit(t: float) -> float:
@@ -158,8 +153,8 @@ class TrainConfig:
     """ADAM schedule for likelihood maximization.
 
     The learning rate starts at initial_lr and is multiplied by the fixed
-    factor _LR_DECAY (0.2) every decay_every steps.  steps=0 is allowed and
-    leaves the model untouched.
+    factor _LR_DECAY (0.2) every decay_every steps.  The three counts must be
+    integers; steps=0 is allowed and leaves the model untouched.
     """
 
     steps: int = 100
@@ -168,10 +163,11 @@ class TrainConfig:
     decay_every: int = 30
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise InputError("steps must be >= 0")
-        if self.batch_size < 1 or self.decay_every < 1:
-            raise InputError("batch_size and decay_every must be >= 1")
+        if not is_count(self.steps, 0):
+            raise InputError(f"steps must be an integer >= 0, got {self.steps!r}")
+        for name in ("batch_size", "decay_every"):
+            if not is_count(getattr(self, name), 1):
+                raise InputError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not (self.initial_lr > 0):
             raise InputError("initial_lr must be > 0")
 
@@ -234,10 +230,6 @@ class IntensityModel:
     @property
     def dim(self) -> int:
         return self.weights[0].shape[0]
-
-    @property
-    def layer_sizes(self) -> list:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def copy(self) -> "IntensityModel":
         return IntensityModel(self.weights, self.biases, self.rng_seed)
@@ -519,47 +511,7 @@ class _Adam:
         self.params -= num
 
 
-def predict(model: IntensityModel, x, n_obs: int) -> RankPosterior:
-    """Rank posterior of a new candidate against n_obs observed points.
-
-    A new candidate can rank below every observation, so its support is
-    {0, ..., n_obs}.  The truncated form is used below the switch and the
-    plain Poisson at or above it.  Either way the reported spread is
-    sqrt(mean).
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != model.dim:
-        raise InputError(f"expected {model.dim} coordinates, got {x.size}")
-    if not np.isfinite(x).all() or x.min() < 0.0 or x.max() > 1.0:
-        raise DomainError("x must lie in the unit hypercube")
-    if n_obs < 0:
-        raise DomainError(f"n_obs must be >= 0, got {n_obs}")
-    rate = float(model.rates(x[None, :])[0])
-    if n_obs < TRUNCATION_SWITCH_N:
-        probs = pmf_vector(rate, n_obs)
-        mean = truncated_mean(TruncatedPoisson(rate, n_obs))
-    else:
-        # The plain law is the truncated one on a support wide enough that
-        # the discarded tail is far below the 1e-12 mass tolerance.
-        probs = pmf_vector(rate, int(math.ceil(rate + 40.0 * math.sqrt(rate) + 50.0)))
-        mean = rate
-    return RankPosterior(pmf=probs, mean=mean, stddev=math.sqrt(mean))
-
-
 def pack_arrays(weights, biases) -> np.ndarray:
     """Flatten per-layer arrays (weights row-major, then biases) to one vector."""
     parts = [w.ravel() for w in weights] + [b.ravel() for b in biases]
     return np.concatenate(parts, dtype=float)
-
-
-def pack_parameters(model: IntensityModel) -> np.ndarray:
-    """Copy of the model's flat parameter buffer."""
-    return model.params.copy()
-
-
-def set_parameters(model: IntensityModel, flat: np.ndarray):
-    """Write a packed vector back into the model in place."""
-    flat = np.asarray(flat, dtype=float)
-    if flat.size != model.params.size:
-        raise InputError(f"parameter vector length {flat.size}, expected {model.params.size}")
-    model.params[...] = flat.reshape(-1)

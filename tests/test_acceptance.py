@@ -33,8 +33,6 @@ from popbo.surrogate import (
     fit,
     grad_log_likelihood,
     log_likelihood,
-    pack_parameters,
-    set_parameters,
 )
 
 
@@ -75,18 +73,18 @@ def test_criterion_2_likelihood_parameter_gradient():
         grad_w, grad_b = grad_log_likelihood(model, obs)
         analytic = np.concatenate([g.ravel() for g in grad_w]
                                   + [g.ravel() for g in grad_b])
-        theta = pack_parameters(model)
+        theta = model.params.copy()
         numeric = np.empty_like(theta)
         for i in range(theta.size):
             bumped = theta.copy()
             bumped[i] = theta[i] + h
-            set_parameters(model, bumped)
+            model.params[...] = bumped
             up = log_likelihood(model, obs)
             bumped[i] = theta[i] - h
-            set_parameters(model, bumped)
+            model.params[...] = bumped
             down = log_likelihood(model, obs)
             numeric[i] = (up - down) / (2.0 * h)
-        set_parameters(model, theta)
+        model.params[...] = theta
         worst = max(worst, relative_error(analytic, numeric))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 10.0

@@ -14,7 +14,6 @@ from popbo.acquisition import (
     lcb,
     objective_and_drate,
     propose_next,
-    r_lcb,
 )
 from popbo.errors import DomainError, PreconditionError, RectifiedRegionError
 from popbo.poisson import log_factorials, log_partial_exp_sum, logsumexp, pmf_vector
@@ -77,6 +76,15 @@ class TestConfig:
     def test_zero_beta_allowed(self):
         assert AcquisitionConfig(beta=0.0).beta == 0.0
 
+    @pytest.mark.parametrize("k_max", [2.5, 5.0, -1, True, "5"])
+    def test_rejects_k_max_not_a_count(self, k_max):
+        with pytest.raises(DomainError, match="k_max"):
+            AcquisitionConfig(kind="eri", k_max=k_max)
+
+    def test_k_max_zero_and_numpy_integers_allowed(self):
+        assert AcquisitionConfig(kind="eri", k_max=0).k_max == 0
+        assert AcquisitionConfig(kind="eri", k_max=np.int64(3)).k_max == 3
+
 
 class TestLcb:
     def test_hand_value(self):
@@ -98,41 +106,82 @@ class TestLcb:
         assert lcb(4.0, n_obs=30, beta=1.0) > 0.0
 
     def test_rejects_negative_rate(self):
-        with pytest.raises(DomainError):
-            lcb(-1.0, n_obs=5, beta=1.0)
+        # An invalid rate is an error, as in eri, not a rectified point.
+        for rate in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                lcb(rate, n_obs=5, beta=1.0)
+
+
+def two_rate_model(rate_at_0, rate_at_1):
+    """1-d network with rate(x) = softplus(b + w x) through the two given rates."""
+    def inv_softplus(r):
+        return math.log(math.expm1(r))
+
+    model = IntensityModel.create(1, hidden=(), rng_seed=0)
+    model.biases[0][...] = inv_softplus(rate_at_0)
+    model.weights[0][...] = inv_softplus(rate_at_1) - inv_softplus(rate_at_0)
+    return model
 
 
 class TestRectifiedLcb:
+    """The rectification rule, through the discrete proposer.
+
+    Candidate 0 is always below the threshold q * n_obs and competes with its
+    LCB; candidate 1's rate is varied.  At or above the threshold a candidate
+    competes with its eps draw in [0, 1), so it wins against a positive LCB.
+    With 12 observations the law is plain: mu = rate, lcb = rate - sqrt(rate).
+    """
+
+    N_OBS = 12
+    SPACE = DiscreteSpace(np.array([[0.0], [1.0]]))
+
+    def propose(self, model, q, rng_seed=0):
+        obs = random_obs(np.random.default_rng(81), self.N_OBS, 1)
+        cfg = AcquisitionConfig(kind="r-lcb", q=q, beta=1.0, rng_seed=rng_seed)
+        return int(propose_next(model, self.SPACE, obs, cfg)[0])
+
     def test_below_threshold_passes_through(self):
-        cfg = AcquisitionConfig(kind="r-lcb", q=0.6)
-        value, rectified = r_lcb(3.0, n_obs=10, cfg=cfg, eps=0.99)
-        assert not rectified
-        assert value == lcb(3.0, n_obs=10, beta=cfg.beta)
+        # Both below 0.6 * 12: the lower LCB wins, not the lower rate
+        # (lcb 0.25 - 0.5 = -0.25 beats lcb 0.05 - sqrt(0.05) = -0.17).
+        assert self.propose(two_rate_model(0.05, 0.25), q=0.6) == 1
+        assert self.propose(two_rate_model(0.25, 0.05), q=0.6) == 0
 
     def test_at_threshold_returns_eps(self):
-        cfg = AcquisitionConfig(kind="r-lcb", q=0.6)
-        value, rectified = r_lcb(7.0, n_obs=10, cfg=cfg, eps=0.42)
-        assert rectified and value == 0.42
+        # Candidate 0 has lcb 4 - 2 = 2 > eps.  Candidate 1 sits exactly at the
+        # threshold, so its eps wins; with q one step higher it is just below
+        # the threshold, and its lcb of about 4.5 loses.
+        model = two_rate_model(4.0, 7.2)
+        rate = float(model.rates(np.array([[1.0]]))[0])
+        q = rate / self.N_OBS
+        while q * self.N_OBS > rate:
+            q = np.nextafter(q, 0.0)
+        while q * self.N_OBS < rate:
+            q = np.nextafter(q, 1.0)
+        assert q * self.N_OBS == rate
+        above = np.nextafter(q, 1.0)
+        while above * self.N_OBS <= rate:
+            above = np.nextafter(above, 1.0)
+        for seed in range(5):
+            assert self.propose(model, q, seed) == 1
+            assert self.propose(model, above, seed) == 0
 
     def test_q_one_rarely_rectifies(self):
-        cfg = AcquisitionConfig(kind="r-lcb", q=1.0)
-        _, rectified = r_lcb(9.5, n_obs=10, cfg=cfg, eps=0.1)
-        assert not rectified
+        # Rate 9.5 is rectified at q = 0.6 (eps beats lcb 2) but not at q = 1,
+        # where its own lcb 9.5 - sqrt(9.5) loses to lcb 2.
+        model = two_rate_model(4.0, 9.5)
+        assert self.propose(model, q=0.6) == 1
+        assert self.propose(model, q=1.0) == 0
 
     def test_threshold_sweep_flips_once(self):
-        cfg = AcquisitionConfig(kind="r-lcb", q=0.5)
-        n_obs = 10
-        flags = [r_lcb(r, n_obs, cfg, eps=0.5)[1]
-                 for r in np.linspace(0.0, 10.0, 101)]
-        switch_points = sum(a != b for a, b in zip(flags, flags[1:]))
-        assert switch_points == 1
-        assert not flags[0] and flags[-1]
-
-    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
-    def test_rejects_invalid_rate(self, rate):
-        # An invalid rate is an error, as in lcb and eri, not a rectified point.
-        with pytest.raises(DomainError):
-            r_lcb(rate, n_obs=5, cfg=AcquisitionConfig(), eps=0.3)
+        # Below the threshold 0.6 * 12, candidate 1's lcb exceeds 2 from rate
+        # 4 on; from the threshold up its eps wins.  One flip, at the threshold.
+        models = [two_rate_model(4.0, r) for r in np.linspace(4.5, 12.0, 76)]
+        rates = [float(m.rates(np.array([[1.0]]))[0]) for m in models]
+        winners = [self.propose(m, q=0.6) for m in models]
+        flips = [i for i in range(1, len(rates)) if winners[i] != winners[i - 1]]
+        assert len(flips) == 1
+        assert winners[0] == 0 and winners[-1] == 1
+        assert rates[flips[0] - 1] < 0.6 * self.N_OBS <= rates[flips[0]]
 
 
 class TestEri:
@@ -158,10 +207,9 @@ class TestEri:
 
     def test_matches_direct_sum(self):
         # Direct expectation sum against the log-space evaluation.
-        from popbo.poisson import TruncatedPoisson, pmf
         rate, n_obs, k_max = 2.3, 7, 4
-        dist = TruncatedPoisson(rate, n_obs)
-        direct = sum((k_max - k) * pmf(dist, k) for k in range(k_max + 1))
+        p = pmf_vector(rate, n_obs)
+        direct = sum((k_max - k) * p[k] for k in range(k_max + 1))
         assert math.isclose(eri(rate, n_obs, k_max), direct, rel_tol=1e-11)
 
     def test_bounded_by_k_max(self):

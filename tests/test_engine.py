@@ -9,7 +9,7 @@ import popbo.engine as engine
 from popbo.acquisition import AcquisitionConfig
 from popbo.benchmarks import BenchmarkFunction, branin, get_benchmark
 from popbo.engine import BoRunConfig, RegretTrace, TraceRecord, incumbent, run
-from popbo.errors import EvaluationFailedError, InputError, PreconditionError
+from popbo.errors import EvaluationFailedError, InputError, PopboError, PreconditionError
 from popbo.surrogate import TrainConfig
 
 FAST_TRAIN = TrainConfig(steps=15)
@@ -47,6 +47,38 @@ class TestConfigValidation:
             BoRunConfig(n_init=3, acquisition=AcquisitionConfig(kind="eri", k_max=5))
         BoRunConfig(n_init=5, acquisition=AcquisitionConfig(kind="eri", k_max=5))
         BoRunConfig(n_init=3, acquisition=AcquisitionConfig(kind="r-lcb", k_max=5))
+
+    @pytest.mark.parametrize("field,value", [
+        ("hidden", (0,)), ("hidden", (-1,)), ("hidden", (2.5,)), ("hidden", (8, True)),
+        ("n_init", 4.0), ("n_iters", 2.5),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(InputError, match=field):
+            small_config(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = small_config(n_init=np.int64(4), n_iters=np.int32(0), hidden=(np.int64(8),))
+        assert len(run(get_benchmark("branin"), cfg)) == 4
+
+    # Each of these once failed mid-run with an untyped error, after the
+    # initial block's evaluations were spent; now the config rejects them.
+    @pytest.mark.parametrize("overrides", [
+        lambda: dict(acquisition=AcquisitionConfig(kind="eri", k_max=2.5)),
+        lambda: dict(surrogate=TrainConfig(steps=2.5)),
+        lambda: dict(surrogate=TrainConfig(batch_size=2.5)),
+        lambda: dict(hidden=(0,)),
+    ], ids=["k_max", "steps", "batch_size", "hidden"])
+    def test_run_raises_before_any_evaluation(self, overrides):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return float(np.sum(x))
+
+        objective = BenchmarkFunction("counted", 2, [[0.0, 1.0], [0.0, 1.0]], counted)
+        with pytest.raises(PopboError):
+            run(objective, small_config(**overrides()))
+        assert calls == []
 
 
 class TestIncumbent:

@@ -35,13 +35,7 @@ from popbo.acquisition import AcquisitionConfig
 from popbo.benchmarks import get_benchmark
 from popbo.engine import BoRunConfig, run
 from popbo.harness import ExperimentConfig, run_experiment, trace_path, write_trace_csv
-from popbo.surrogate import (
-    IntensityModel,
-    ObservationSet,
-    TrainConfig,
-    fit,
-    pack_parameters,
-)
+from popbo.surrogate import IntensityModel, ObservationSet, TrainConfig, fit
 
 GOLDEN_RUNS = {
     "branin-rlcb": "ecd869c34036c71c9ab3cb648f2dbe8596d674a03c592ad6182edab29420a9eb",
@@ -63,7 +57,7 @@ def science_digest(csv_path) -> str:
 
 
 def params_digest(model) -> str:
-    flat = np.ascontiguousarray(pack_parameters(model), dtype="<f8")
+    flat = np.ascontiguousarray(model.params, dtype="<f8")
     return hashlib.sha256(flat.tobytes()).hexdigest()
 
 
@@ -117,9 +111,9 @@ def fit_case(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_FITS))
 def test_fit_parameters_are_pinned(name):
     model, obs, cfg, rng = fit_case(name)
-    start = pack_parameters(model).copy()
+    start = model.params.copy()
     fit(model, obs, cfg, rng=rng)
-    restored = np.array_equal(pack_parameters(model), start)
+    restored = np.array_equal(model.params, start)
     assert restored == (name == "restored")
     assert params_digest(model) == GOLDEN_FITS[name]
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
+from scipy.stats import poisson as scipy_poisson
 
 from popbo.errors import DomainError
 from popbo.poisson import (
-    RankPosterior,
     TruncatedPoisson,
     correct_ranking_probability,
     log_factorials,
@@ -18,7 +18,6 @@ from popbo.poisson import (
     log_partial_exp_sums,
     logsumexp,
     partial_sum_log_terms,
-    pmf,
     pmf_vector,
     truncated_mean,
     truncated_means,
@@ -116,30 +115,14 @@ class TestLogHelpers:
 
 class TestPmfHandValues:
     def test_zero_rate_puts_all_mass_at_zero(self):
-        dist = TruncatedPoisson(0.0, 3)
-        assert pmf(dist, 0) == 1.0
-        assert pmf(dist, 1) == 0.0
-        assert pmf(dist, 3) == 0.0
+        np.testing.assert_array_equal(pmf_vector(0.0, 3), [1.0, 0.0, 0.0, 0.0])
 
     def test_rate_one_max_rank_one(self):
         np.testing.assert_allclose(pmf_vector(1.0, 1), [0.5, 0.5], rtol=1e-14)
 
     def test_rate_two_max_rank_two(self):
         # Terms 1, 2, 2 -> p(2) = 2/5.
-        assert math.isclose(pmf(TruncatedPoisson(2.0, 2), 2), 0.4, rel_tol=1e-13)
-
-    def test_pmf_vector_matches_scalar(self):
-        dist = TruncatedPoisson(3.7, 6)
-        vec = pmf_vector(3.7, 6)
-        for k in range(7):
-            assert math.isclose(vec[k], pmf(dist, k), rel_tol=1e-13)
-
-    def test_out_of_support_raises(self):
-        dist = TruncatedPoisson(1.0, 4)
-        with pytest.raises(DomainError):
-            pmf(dist, 5)
-        with pytest.raises(DomainError):
-            pmf(dist, -1)
+        assert math.isclose(pmf_vector(2.0, 2)[2], 0.4, rel_tol=1e-13)
 
     def test_negative_rate_raises(self):
         with pytest.raises(DomainError):
@@ -209,14 +192,34 @@ class TestPmfProperties:
         assert abs(mean - float(np.dot(np.arange(max_rank + 1), p))) <= 1e-10
         assert mean <= min(rate, max_rank)
 
+
     @settings(max_examples=300, deadline=None)
-    @given(RATE, MAX_RANK, st.data())
-    def test_scalar_entries_are_vector_entries(self, rate, max_rank, data):
-        dist = TruncatedPoisson(rate, max_rank)
-        k = data.draw(st.integers(0, max_rank))
-        assert pmf(dist, k) == pmf_vector(rate, max_rank)[k]
+    @given(RATE, MAX_RANK)
+    def test_scalar_entries_are_vector_entries(self, rate, max_rank):
         means, _ = truncated_means(np.array([rate]), max_rank)
-        assert truncated_mean(dist) == means[0]
+        assert truncated_mean(TruncatedPoisson(rate, max_rank)) == means[0]
+
+
+class TestPmfFarSupport:
+    """pmf_vector on supports far past the max_rank <= 40 that TestPmfProperties draws."""
+
+    @pytest.mark.parametrize("rate", [0.5, 8.0, 300.0, 1e4])
+    def test_wide_support_is_poisson(self, rate):
+        # 40 standard deviations past the rate, the truncated law is the
+        # plain Poisson law up to a tail far below the 1e-12 mass tolerance.
+        max_rank = math.ceil(rate + 40.0 * math.sqrt(rate) + 50.0)
+        p = pmf_vector(rate, max_rank)
+        ks = np.arange(max_rank + 1)
+        np.testing.assert_allclose(p, scipy_poisson.pmf(ks, rate), rtol=1e-10, atol=1e-300)
+        assert scipy_poisson.sf(max_rank, rate) < 1e-12
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert abs(float(ks @ p) - rate) <= 1e-10
+
+    @pytest.mark.parametrize("rate,max_rank", [(0.0, 5), (0.0, 50), (1.0, 0), (1e4, 0)])
+    def test_edge_laws_put_all_mass_at_zero(self, rate, max_rank):
+        p = pmf_vector(rate, max_rank)
+        np.testing.assert_array_equal(p, np.eye(max_rank + 1)[0])
+        assert truncated_mean(TruncatedPoisson(rate, max_rank)) == 0.0
 
 
 class TestCorrectRankingProbability:
@@ -249,25 +252,6 @@ class TestCorrectRankingProbability:
             correct_ranking_probability(1.0, 0.0)
         with pytest.raises(DomainError):
             correct_ranking_probability(1.0, -0.5)
-
-
-class TestRankPosterior:
-    def test_accepts_consistent_fields(self):
-        p = pmf_vector(1.0, 1)
-        post = RankPosterior(pmf=p, mean=0.5, stddev=math.sqrt(0.5))
-        assert post.mean == 0.5
-
-    def test_rejects_unnormalized_pmf(self):
-        with pytest.raises(DomainError):
-            RankPosterior(pmf=np.array([0.5, 0.4]), mean=0.4, stddev=math.sqrt(0.4))
-
-    def test_rejects_inconsistent_mean(self):
-        with pytest.raises(DomainError):
-            RankPosterior(pmf=np.array([0.5, 0.5]), mean=0.9, stddev=math.sqrt(0.9))
-
-    def test_rejects_wrong_stddev(self):
-        with pytest.raises(DomainError):
-            RankPosterior(pmf=np.array([0.5, 0.5]), mean=0.5, stddev=0.5)
 
 
 def logsumexp_corpus(seed=0, count=4000):

@@ -1,4 +1,4 @@
-"""Tests for ranks, the intensity network, likelihood, training, prediction."""
+"""Tests for ranks, the intensity network, the likelihood and its gradient, and training."""
 
 import math
 
@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit as scipy_expit
-from scipy.stats import poisson
 
-from popbo.errors import (
-    DomainError,
-    InputError,
-    PreconditionError,
-    TrainingDivergedError,
-)
+from popbo.errors import InputError, PreconditionError, TrainingDivergedError
 from popbo import poisson as popbo_poisson
-from popbo.poisson import TruncatedPoisson, log_partial_exp_sum, truncated_mean
+from popbo.poisson import log_partial_exp_sum
 from popbo.surrogate import (
     DEFAULT_HIDDEN,
     TRUNCATION_SWITCH_N,
@@ -32,10 +26,7 @@ from popbo.surrogate import (
     grad_log_likelihood,
     log_likelihood,
     pack_arrays,
-    pack_parameters,
-    predict,
     rate_gradient,
-    set_parameters,
 )
 
 RATE_ONE_BIAS = math.log(math.e - 1.0)  # softplus(bias) = 1 with zero weights
@@ -128,6 +119,18 @@ class TestTrainConfig:
             TrainConfig(steps=-1)
         with pytest.raises(InputError):
             TrainConfig(initial_lr=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("steps", 2.5), ("steps", True), ("batch_size", 2.5), ("batch_size", 0),
+        ("decay_every", 30.0), ("decay_every", "30"),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(InputError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = TrainConfig(steps=np.int64(5), batch_size=np.int32(8), decay_every=np.uint8(3))
+        assert (cfg.steps, cfg.batch_size, cfg.decay_every) == (5, 8, 3)
 
 
 class TestNetwork:
@@ -325,19 +328,19 @@ class TestParameterGradient:
         grad_w, grad_b = grad_log_likelihood(model, obs)
         analytic = np.concatenate([g.ravel() for g in grad_w]
                                   + [g.ravel() for g in grad_b])
-        theta = pack_parameters(model)
+        theta = model.params.copy()
         h = 1e-5
         numeric = np.empty_like(theta)
         for i in range(theta.size):
             bumped = theta.copy()
             bumped[i] = theta[i] + h
-            set_parameters(model, bumped)
+            model.params[...] = bumped
             up = log_likelihood(model, obs)
             bumped[i] = theta[i] - h
-            set_parameters(model, bumped)
+            model.params[...] = bumped
             down = log_likelihood(model, obs)
             numeric[i] = (up - down) / (2.0 * h)
-        set_parameters(model, theta)
+        model.params[...] = theta
         denom = np.maximum(np.abs(numeric), 1e-8)
         assert (np.abs(analytic - numeric) / denom).max() < 1e-4
 
@@ -346,9 +349,9 @@ class TestFit:
     def test_zero_steps_leaves_parameters_untouched(self):
         rng = np.random.default_rng(41)
         model = IntensityModel.create(2, hidden=(8,), rng_seed=1)
-        before = pack_parameters(model).copy()
+        before = model.params.copy()
         fit(model, random_obs(rng, 6, 2), TrainConfig(steps=0))
-        np.testing.assert_array_equal(pack_parameters(model), before)
+        np.testing.assert_array_equal(model.params, before)
 
     def test_same_seed_is_bitwise_reproducible(self):
         obs = random_obs(np.random.default_rng(42), 8, 2)
@@ -356,7 +359,7 @@ class TestFit:
         for _ in range(2):
             model = IntensityModel.create(2, hidden=(8, 8), rng_seed=3)
             fit(model, obs, TrainConfig(steps=60), rng=np.random.default_rng(9))
-            results.append(pack_parameters(model).copy())
+            results.append(model.params.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_default_rng_derived_from_model_seed(self):
@@ -366,8 +369,7 @@ class TestFit:
             rng=np.random.default_rng([5, 1]))
         default = IntensityModel.create(2, hidden=(8,), rng_seed=5)
         fit(default, obs, TrainConfig(steps=40))
-        np.testing.assert_array_equal(pack_parameters(explicit),
-                                      pack_parameters(default))
+        np.testing.assert_array_equal(explicit.params, default.params)
 
     def test_nll_never_increases(self):
         for seed in range(4):
@@ -485,19 +487,19 @@ class TestCarriedAdam:
         # Large constant steps on tiny batches overshoot: the start is restored.
         model, obs = self.fitted()
         assert model.adam_state is not None
-        start = pack_parameters(model).copy()
+        start = model.params.copy()
         fit(model, obs, TrainConfig(steps=20, initial_lr=0.5, batch_size=3),
             rng=np.random.default_rng(4))
-        np.testing.assert_array_equal(pack_parameters(model), start)
+        np.testing.assert_array_equal(model.params, start)
         assert model.adam_state is None
 
     def test_zero_steps_leaves_parameters_and_moments_untouched(self):
         model, obs = self.fitted()
-        params = pack_parameters(model).copy()
+        params = model.params.copy()
         state = model.adam_state
         m1, m2 = state[0].copy(), state[1].copy()
         fit(model, obs, TrainConfig(steps=0))
-        np.testing.assert_array_equal(pack_parameters(model), params)
+        np.testing.assert_array_equal(model.params, params)
         assert model.adam_state is state
         np.testing.assert_array_equal(state[0], m1)
         np.testing.assert_array_equal(state[1], m2)
@@ -617,68 +619,3 @@ class TestFloat32Training:
         adam.flush()
         for m, floor in zip((adam.m1, adam.m2), floors):
             np.testing.assert_array_equal(m, np.array([0.0, 0.0, floor * 1.01, 1.0], np.float32))
-
-
-class TestPredict:
-    def test_small_sample_posterior(self):
-        model = constant_rate_model(1, RATE_ONE_BIAS)
-        post = predict(model, [0.5], n_obs=1)
-        np.testing.assert_allclose(post.pmf, [0.5, 0.5], rtol=1e-12)
-        assert math.isclose(post.mean, 0.5, rel_tol=1e-12)
-
-    def test_large_sample_moments_equal_rate(self):
-        model = constant_rate_model(2, RATE_ONE_BIAS)
-        post = predict(model, [0.4, 0.6], n_obs=20)
-        assert math.isclose(post.mean, 1.0, rel_tol=1e-12)
-        assert math.isclose(post.stddev, 1.0, rel_tol=1e-12)
-
-    def test_support_size_tracks_n_obs_when_truncated(self):
-        model = constant_rate_model(1, RATE_ONE_BIAS)
-        post = predict(model, [0.5], n_obs=7)
-        assert post.pmf.size == 8
-
-    def test_regime_switches_at_truncation_constant(self):
-        model = constant_rate_model(1, math.log(math.expm1(8.0)))  # rate 8
-        below = predict(model, [0.5], n_obs=TRUNCATION_SWITCH_N - 1)
-        at = predict(model, [0.5], n_obs=TRUNCATION_SWITCH_N)
-        assert below.pmf.size == TRUNCATION_SWITCH_N
-        expected = truncated_mean(TruncatedPoisson(8.0, TRUNCATION_SWITCH_N - 1))
-        assert math.isclose(below.mean, expected, rel_tol=1e-12)
-        assert below.mean < 7.9
-        assert math.isclose(at.mean, 8.0, rel_tol=1e-12)
-
-    def test_rejects_point_outside_cube(self):
-        model = constant_rate_model(1, RATE_ONE_BIAS)
-        with pytest.raises(DomainError):
-            predict(model, [1.5], n_obs=3)
-
-    @pytest.mark.parametrize("rate", [0.5, 8.0, 300.0, 1e4])
-    def test_plain_posterior_is_poisson(self, rate):
-        bias = rate if rate > 30.0 else math.log(math.expm1(rate))
-        post = predict(constant_rate_model(1, bias), [0.5], n_obs=TRUNCATION_SWITCH_N)
-        ks = np.arange(post.pmf.size)
-        np.testing.assert_allclose(post.pmf, poisson.pmf(ks, rate), rtol=1e-10, atol=1e-300)
-        assert poisson.sf(ks[-1], rate) < 1e-12
-
-    @pytest.mark.parametrize("bias,n_obs,mean", [
-        (-800.0, 5, 0.0),  # softplus underflows to rate 0, truncated
-        (-800.0, 20, 0.0),  # rate 0, plain
-        (RATE_ONE_BIAS, 0, 0.0),  # no observations: rank 0 is certain
-        (1e4, 12, 1e4),  # softplus(1e4) = 1e4, plain
-        (1e4, 50, 1e4),
-    ])
-    def test_edge_posteriors(self, bias, n_obs, mean):
-        post = predict(constant_rate_model(1, bias), [0.5], n_obs=n_obs)
-        assert abs(post.pmf.sum() - 1.0) <= 1e-12
-        assert math.isclose(post.mean, mean, rel_tol=1e-12)
-        assert post.stddev == math.sqrt(post.mean)
-
-
-class TestSerialization:
-    def test_pack_set_round_trip(self):
-        model = IntensityModel.create(2, hidden=(4, 4), rng_seed=9)
-        theta = pack_parameters(model).copy()
-        set_parameters(model, theta * 2.0)
-        np.testing.assert_array_equal(pack_parameters(model), theta * 2.0)
-        with pytest.raises(InputError):
-            set_parameters(model, theta[:-1])
