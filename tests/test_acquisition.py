@@ -106,10 +106,8 @@ class TestLcb:
         assert lcb(4.0, n_obs=30, beta=1.0) > 0.0
 
     def test_rejects_negative_rate(self):
-        # An invalid rate is an error, as in eri, not a rectified point.
-        for rate in (-1.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                lcb(rate, n_obs=5, beta=1.0)
+        with pytest.raises(DomainError):
+            lcb(-1.0, n_obs=5, beta=1.0)
 
 
 def two_rate_model(rate_at_0, rate_at_1):
@@ -182,6 +180,13 @@ class TestRectifiedLcb:
         assert len(flips) == 1
         assert winners[0] == 0 and winners[-1] == 1
         assert rates[flips[0] - 1] < 0.6 * self.N_OBS <= rates[flips[0]]
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_rejects_invalid_rate(self, rate):
+        # An invalid rate is an error of the r-lcb objective, as in eri, not a
+        # rectified point.
+        with pytest.raises(DomainError):
+            lcb(rate, n_obs=5, beta=1.0)
 
 
 class TestEri:

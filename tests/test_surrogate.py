@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit as scipy_expit
 
+from popbo.acquisition import lcb
 from popbo.errors import InputError, PreconditionError, TrainingDivergedError
 from popbo import poisson as popbo_poisson
-from popbo.poisson import log_partial_exp_sum
+from popbo.poisson import log_partial_exp_sum, pmf_vector
 from popbo.surrogate import (
     DEFAULT_HIDDEN,
     TRUNCATION_SWITCH_N,
@@ -317,6 +318,21 @@ class TestNormalizer:
         np.testing.assert_array_equal(norm, rates)
         np.testing.assert_array_equal(norm_grad, np.ones_like(rates))
         assert _normalizer(rates, TRUNCATION_SWITCH_N)[1] is None
+
+    @pytest.mark.parametrize("n_obs", [TRUNCATION_SWITCH_N, 50])
+    def test_huge_bias_law_is_plain_poisson(self, n_obs):
+        # softplus(1e4) = 1e4 exactly.  At n_obs >= TRUNCATION_SWITCH_N the
+        # rank law at that rate is the plain Poisson law: the likelihood's
+        # normalizer is the rate, the acquisition's mean is the rate, and
+        # its pmf over a support 40 standard deviations past the rate has
+        # unit mass.
+        rates = constant_rate_model(1, 1e4).rates(np.array([[0.5]]))
+        assert rates[0] == 1e4
+        norm, norm_grad = _normalizer(rates, n_obs, slope=True)
+        np.testing.assert_array_equal(norm, rates)
+        assert norm_grad == 1.0
+        assert lcb(1e4, n_obs, beta=0.0) == 1e4
+        assert abs(pmf_vector(1e4, 14050).sum() - 1.0) <= 1e-12
 
 
 class TestParameterGradient:
