@@ -12,7 +12,10 @@ derivatives.  Both are rectified: wherever the predicted rate reaches
 q * n_obs the acquisition value is replaced by a uniform draw eps in [0, 1],
 and descent iterates entering that region are frozen in place.  The
 continuous-space proposer is a multistart projected L-BFGS on the unit cube;
-discrete spaces take an argmin over uniformly sampled candidates.
+discrete spaces take an argmin over uniformly sampled candidates.  The
+proposer calls the model twice over: `rates` on batches of points (all
+restart starts at once, each Armijo block at once) and `rate_and_input_grad`
+once per accepted iterate.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ _LBFGS_MAX_ITER = 50
 _LBFGS_GTOL = 1e-6
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 30
+_LINE_SEARCH_BLOCK = 8
+# Trial step sizes 1, 1/2, ..., 2^-29, scored as the first alone and then
+# _LINE_SEARCH_BLOCK at a time: an exhausted search costs 5 `rates` calls.
+_STEP_SIZES = 0.5 ** np.arange(_MAX_BACKTRACKS)
+_TRIAL_BLOCKS = ((0, 1),) + tuple((lo, min(lo + _LINE_SEARCH_BLOCK, _MAX_BACKTRACKS))
+                                  for lo in range(1, _MAX_BACKTRACKS, _LINE_SEARCH_BLOCK))
 _RESTARTS = 10
 _DISCRETE_SAMPLES = 1000
 
@@ -192,27 +201,58 @@ def _two_loop_direction(g: np.ndarray, history: list) -> np.ndarray:
     return -q
 
 
-def _descend(model: IntensityModel, x0: np.ndarray, cfg: AcquisitionConfig,
-             n_obs: int, threshold: float):
-    """Projected L-BFGS from one start; returns (x, value, frozen).
+def _objective_rows(model: IntensityModel, xs: np.ndarray, cfg: AcquisitionConfig,
+                    n_obs: int):
+    """(objective values, rates) at the rows of xs, from one `rates` call."""
+    rates = model.rates(xs)
+    values, _ = objective_and_drate(rates, n_obs, cfg, drate=False)
+    return values, rates
 
-    The rectification test runs on each accepted iterate: a start or iterate
-    whose rate reaches the threshold is frozen where it stands and reports no
+
+def _line_search(model: IntensityModel, x: np.ndarray, f: float, g: np.ndarray,
+                 p: np.ndarray, cfg: AcquisitionConfig, n_obs: int):
+    """Backtracking Armijo search along p from x; (x_new, f_new, rate_new) or None.
+
+    The trials are clip(x + alpha p) for alpha = 1, 1/2, ..., 2^-29 in that
+    order, and the first with f_new <= f + c1 g . (x_new - x) is accepted.
+    The search gives up after the last trial, or at the first trial whose
+    clipped step is zero (no later trial is scored).  Trials are scored a
+    block of _TRIAL_BLOCKS at a time: the accepted trial is the one a
+    sequential search would accept, and the rows after it cost only their
+    share of one batched forward pass.
+    """
+    for lo, hi in _TRIAL_BLOCKS:
+        trials = np.clip(x + _STEP_SIZES[lo:hi, None] * p, 0.0, 1.0)
+        steps = trials - x
+        moving = steps.any(axis=1)
+        n = hi - lo if moving.all() else int(np.argmin(moving))
+        if n == 0:
+            return None
+        values, rates = _objective_rows(model, trials[:n], cfg, n_obs)
+        passed = values <= f + _ARMIJO_C1 * (steps[:n] @ g)
+        if passed.any():
+            j = int(np.argmax(passed))
+            return trials[j], float(values[j]), float(rates[j])
+        if n < hi - lo:
+            return None
+    return None
+
+
+def _descend(model: IntensityModel, x: np.ndarray, f: float, cfg: AcquisitionConfig,
+             n_obs: int, threshold: float):
+    """Projected L-BFGS from x, whose objective value is f; returns (x, value, frozen).
+
+    The caller scores and rectifies the start, so x lies in the box with a
+    rate below the threshold.  Each iteration takes one gradient and one
+    line search, whose trials are scored in blocks (_line_search).  The
+    rectification test runs on each accepted iterate: one whose rate
+    reaches the threshold is frozen where it stands and reports no
     objective value (the caller substitutes its eps draw).
     """
-
-    def obj(x):
-        rates = model.rates(x[None, :])
-        values, _ = objective_and_drate(rates, n_obs, cfg, drate=False)
-        return float(values[0]), float(rates[0])
 
     def obj_grad(x):
         return _rate_and_objective_grad(model, x, cfg, n_obs)[1]
 
-    x = np.clip(x0, 0.0, 1.0)
-    f, rate = obj(x)
-    if rate >= threshold:
-        return x, None, True
     g = obj_grad(x)
     history: list = []
 
@@ -222,20 +262,10 @@ def _descend(model: IntensityModel, x0: np.ndarray, cfg: AcquisitionConfig,
         p = _two_loop_direction(g, history)
         if float(np.dot(p, g)) >= 0.0:
             p = -g
-        alpha = 1.0
-        moved = False
-        for _ in range(_MAX_BACKTRACKS):
-            x_new = np.clip(x + alpha * p, 0.0, 1.0)
-            step = x_new - x
-            if not step.any():
-                break
-            f_new, rate_new = obj(x_new)
-            if f_new <= f + _ARMIJO_C1 * float(np.dot(g, step)):
-                moved = True
-                break
-            alpha *= 0.5
-        if not moved:
+        accepted = _line_search(model, x, f, g, p, cfg, n_obs)
+        if accepted is None:
             break
+        x_new, f_new, rate_new = accepted
         if rate_new >= threshold:
             return x_new, None, True
         g_new = obj_grad(x_new)
@@ -253,16 +283,17 @@ def _descend(model: IntensityModel, x0: np.ndarray, cfg: AcquisitionConfig,
 def _propose_continuous(model: IntensityModel, dim: int, obs_n: int,
                         cfg: AcquisitionConfig) -> np.ndarray:
     threshold = cfg.q * obs_n
-    finals = np.empty((_RESTARTS, dim))
-    values = np.empty(_RESTARTS)
-    for i in range(_RESTARTS):
-        # Substream per restart: serial and parallel schedules agree bitwise.
-        sub = np.random.default_rng([cfg.rng_seed, i])
-        x0 = sub.uniform(size=dim)
-        eps = sub.uniform()
-        x_fin, val, frozen = _descend(model, x0, cfg, obs_n, threshold)
-        finals[i] = x_fin
-        values[i] = eps if frozen else val
+    # Substream per restart: serial and parallel schedules agree bitwise.
+    subs = [np.random.default_rng([cfg.rng_seed, i]) for i in range(_RESTARTS)]
+    finals = np.array([sub.uniform(size=dim) for sub in subs])
+    values = np.array([sub.uniform() for sub in subs])
+    # One call scores every start; rectified starts keep their eps draw.
+    start_values, rates = _objective_rows(model, finals, cfg, obs_n)
+    for i in np.flatnonzero(rates < threshold):
+        finals[i], val, frozen = _descend(model, finals[i].copy(), float(start_values[i]),
+                                          cfg, obs_n, threshold)
+        if not frozen:
+            values[i] = val
     return finals[int(np.argmin(values))].copy()
 
 
@@ -273,8 +304,7 @@ def _propose_discrete(model: IntensityModel, space: DiscreteSpace, obs_n: int,
     idx = rng.integers(0, space.n_candidates, size=_DISCRETE_SAMPLES)
     eps = rng.uniform(size=_DISCRETE_SAMPLES)
     pts = space.candidates[idx]
-    rates = model.rates(pts)
-    raw, _ = objective_and_drate(rates, obs_n, cfg, drate=False)
+    raw, rates = _objective_rows(model, pts, cfg, obs_n)
     vals = np.where(rates < threshold, raw, eps)
     return pts[int(np.argmin(vals))].copy()
 

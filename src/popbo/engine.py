@@ -46,8 +46,8 @@ class BoRunConfig:
     hidden widths are configurable only so tests can run tiny networks; the
     production architecture is the default.  Settings are checked here,
     before any evaluation is spent: each count (n_init, n_iters, each hidden
-    width) must be an integer, and ERI's k_max may not exceed n_init, since
-    the first proposal ranks against n_init observations.
+    width) and the seed must be an integer, and ERI's k_max may not exceed
+    n_init, since the first proposal ranks against n_init observations.
     """
 
     n_init: int = 12
@@ -62,6 +62,8 @@ class BoRunConfig:
             raise InputError(f"n_init must be an integer >= 2, got {self.n_init!r}")
         if not is_count(self.n_iters, 0):
             raise InputError(f"n_iters must be an integer >= 0, got {self.n_iters!r}")
+        if not is_count(self.seed, 0):
+            raise InputError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not all(is_count(width, 1) for width in self.hidden):
             raise InputError(f"hidden widths must be integers >= 1, got {self.hidden!r}")
         if self.acquisition.kind == "eri" and self.acquisition.k_max > self.n_init:

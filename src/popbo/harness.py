@@ -22,6 +22,7 @@ from .acquisition import AcquisitionConfig
 from .benchmarks import BENCHMARK_NAMES, TabularBenchmark, default_n_init, get_benchmark
 from .engine import BoRunConfig, RegretTrace, random_search_baseline, run
 from .errors import DomainError, InputError, PopboError
+from .surrogate import is_count
 
 __all__ = [
     "METHODS",
@@ -67,9 +68,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
-        seeds = tuple(int(s) for s in self.seeds)
+        # Seeds given as decimal text count as the integers they spell.
+        seeds = tuple(int(s) if isinstance(s, str) and s.isdecimal() else s
+                      for s in self.seeds)
         if not seeds:
             raise DomainError("seeds must be non-empty")
+        if not all(is_count(s, 0) for s in seeds):
+            raise DomainError(f"seeds must be integers >= 0, got {tuple(self.seeds)!r}")
+        seeds = tuple(int(s) for s in seeds)
         if len(set(seeds)) != len(seeds):
             raise DomainError(f"seeds must be distinct, got {seeds}")
         object.__setattr__(self, "seeds", seeds)
@@ -77,8 +83,8 @@ class ExperimentConfig:
             raise DomainError("n_iters must be >= 0")
         if self.noise_sigma < 0:
             raise DomainError("noise_sigma must be >= 0")
-        if self.workers < 1:
-            raise DomainError("workers must be >= 1")
+        if not is_count(self.workers, 1):
+            raise DomainError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
 def resolve_benchmark(name: str, noise_sigma: float = 0.0):

@@ -8,8 +8,10 @@ a full batch, one ADAM step, `_ll_terms`, `log_partial_exp_sums`,
 `objective_and_drate` on one rate, one `_descend` (from the observed point
 of lowest rate), `propose_next` and `compute_ranks`.  Each time is the
 minimum and the median, in microseconds, over repeats of a timed loop; the
-environment (Python, numpy, BLAS, `nproc`, `OPENBLAS_NUM_THREADS`) is
-recorded beside them:
+number of `model.rates` calls that one `_descend` and one `propose_next`
+make is counted beside them (the line search scores its trials in batches,
+so this shows the mechanism behind the timings), and the environment
+(Python, numpy, BLAS, `nproc`, `OPENBLAS_NUM_THREADS`) is recorded:
 
     OPENBLAS_NUM_THREADS=1 python studies/layers.py [--src DIR] [--out FILE]
     python studies/layers.py --smoke     # one call each, to check that it runs
@@ -22,6 +24,8 @@ and numpy are used.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import itertools
 import json
 import os
@@ -90,6 +94,37 @@ def training_pass(surrogate, model):
             lambda caches, d, gw, gb: model._backward(caches, d, gw, gb, layers[0]), params)
 
 
+def descent(acquisition, model, x0, cfg, n: int, threshold: float):
+    """One `_descend` from x0 as a thunk, for this checkout's signature.
+
+    `_descend` takes the start's objective value from its caller, which
+    scores all restart starts in one batch; checkouts from before that
+    scored the start inside `_descend`.
+    """
+    if "f" not in inspect.signature(acquisition._descend).parameters:
+        return lambda: acquisition._descend(model, x0, cfg, n, threshold)
+    values, _ = acquisition.objective_and_drate(model.rates(x0[None, :]), n, cfg, drate=False)
+    return lambda: acquisition._descend(model, x0, float(values[0]), cfg, n, threshold)
+
+
+def rates_calls(model, fn) -> int:
+    """Number of `model.rates` calls made by one call of fn."""
+    calls = 0
+    method = model.rates
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return method(x)
+
+    model.rates = counted
+    try:
+        fn()
+    finally:
+        del model.rates
+    return calls
+
+
 def measure(n: int, dim: int, smoke: bool) -> dict:
     from popbo import acquisition, poisson, surrogate
     from popbo.space import ContinuousSpace, DiscreteSpace
@@ -129,7 +164,8 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
     # below the rectification threshold unless every point does not.
     x0 = obs.points[int(np.argmin(model.rates(obs.points)))]
     one_rate = rates[:1].astype(float)
-    threshold = cfg.q * n
+    descend = descent(acquisition, model, x0, cfg, n, cfg.q * n)
+    propose = functools.partial(acquisition.propose_next, model, space, obs, cfg)
 
     return {
         "train_dtype": np.dtype(dtype).name,
@@ -140,9 +176,11 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
         "log_partial_exp_sums": timed(lambda: poisson.log_partial_exp_sums(terms, 2), smoke),
         "objective_and_drate": timed(
             lambda: acquisition.objective_and_drate(one_rate, n, cfg), smoke),
-        "_descend": timed(lambda: acquisition._descend(model, x0, cfg, n, threshold), smoke),
-        "propose_next": timed(lambda: acquisition.propose_next(model, space, obs, cfg), smoke),
+        "_descend": timed(descend, smoke),
+        "propose_next": timed(propose, smoke),
         "compute_ranks": timed(lambda: surrogate.compute_ranks(obs.values), smoke),
+        "rates_calls": {"_descend": rates_calls(model, descend),
+                        "propose_next": rates_calls(model, propose)},
     }
 
 

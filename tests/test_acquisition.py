@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import popbo.acquisition as acquisition
 from popbo.acquisition import (
     AcquisitionConfig,
     eri,
@@ -455,6 +456,171 @@ class TestProposeContinuous:
         from popbo.errors import InputError
         with pytest.raises(InputError):
             ObservationSet(np.empty((0, 1)), np.empty(0), np.empty(0, dtype=int))
+
+
+class RecordingModel:
+    """A model whose `rates` calls are recorded, batch by batch."""
+
+    def __init__(self, model):
+        self.model = model
+        self.batches = []
+        self.grad_calls = 0
+
+    def rates(self, x):
+        self.batches.append(np.array(x, dtype=float))
+        return self.model.rates(x)
+
+    def rate_and_input_grad(self, x):
+        self.grad_calls += 1
+        return self.model.rate_and_input_grad(x)
+
+
+def sequential_trials(model, x, f, g, p, cfg, n_obs):
+    """Trial points, values and Armijo margins f_new - bound of a one-trial-per-call search.
+
+    The trials are clip(x + alpha p) for alpha = 1 then halved 29 times,
+    up to but excluding the first whose clipped step is zero; a trial
+    passes when its margin is <= 0.
+    """
+    trials, values, margins = [], [], []
+    alpha = 1.0
+    for _ in range(acquisition._MAX_BACKTRACKS):
+        x_new = np.clip(x + alpha * p, 0.0, 1.0)
+        step = x_new - x
+        if not step.any():
+            break
+        f_new = float(objective_and_drate(model.rates(x_new[None, :]), n_obs, cfg,
+                                          drate=False)[0][0])
+        trials.append(x_new)
+        values.append(f_new)
+        margins.append(f_new - (f + acquisition._ARMIJO_C1 * float(np.dot(g, step))))
+        alpha *= 0.5
+    return np.array(trials).reshape(-1, x.size), np.array(values), np.array(margins)
+
+
+def blocked_search(model, x, f, g, p, cfg, n_obs):
+    """(result, rows scored in order, rates calls) of the proposer's line search."""
+    recording = RecordingModel(model)
+    result = acquisition._line_search(recording, x, f, g, p, cfg, n_obs)
+    rows = np.concatenate(recording.batches) if recording.batches else np.empty((0, x.size))
+    return result, rows, len(recording.batches)
+
+
+def start_of(model, x, cfg, n_obs):
+    """(objective value, objective gradient) at x."""
+    values, _ = objective_and_drate(model.rates(x[None, :]), n_obs, cfg, drate=False)
+    return float(values[0]), acquisition._rate_and_objective_grad(model, x, cfg, n_obs)[1]
+
+
+class TestBlockedLineSearch:
+    """The blocked Armijo search accepts what the sequential search accepts."""
+
+    BLOCK_ENDS = [hi for _, hi in acquisition._TRIAL_BLOCKS]
+
+    def test_blocks_cover_the_trials_once(self):
+        assert acquisition._TRIAL_BLOCKS[0] == (0, 1)
+        covered = [i for lo, hi in acquisition._TRIAL_BLOCKS for i in range(lo, hi)]
+        assert covered == list(range(acquisition._MAX_BACKTRACKS))
+        assert all(hi - lo <= acquisition._LINE_SEARCH_BLOCK
+                   for lo, hi in acquisition._TRIAL_BLOCKS)
+
+    @pytest.mark.parametrize("kind", ["r-lcb", "eri"])
+    def test_accepts_the_first_trial_that_passes(self, kind):
+        rng = np.random.default_rng(71)
+        cfg = AcquisitionConfig(kind=kind, q=1.0, k_max=3)
+        n_obs = 8
+        accepted_at = []
+        for model_seed in range(4):
+            model = IntensityModel.create(3, hidden=(16, 16), rng_seed=model_seed)
+            for _ in range(12):
+                # Some starts lie on faces; descent directions of random
+                # lengths make the search back off by varying amounts.
+                x = rng.uniform(size=3)
+                x[rng.uniform(size=3) < 0.3] = rng.integers(0, 2)
+                f, g = start_of(model, x, cfg, n_obs)
+                p = rng.normal(size=3)
+                p *= -np.sign(np.dot(p, g)) * 10.0 ** rng.integers(-1, 4)
+                trials, values, margins = sequential_trials(model, x, f, g, p, cfg, n_obs)
+                passing = np.flatnonzero(margins <= 0.0)
+                first = int(passing[0]) if passing.size else None
+                last = len(trials) if first is None else first + 1
+                # Rounding may flip a trial this close to its bound.
+                if (np.abs(margins[:last]) < 1e-9).any():
+                    continue
+                result, rows, calls = blocked_search(model, x, f, g, p, cfg, n_obs)
+
+                end = min(next(hi for hi in self.BLOCK_ENDS if hi >= last), len(trials))
+                np.testing.assert_array_equal(rows, trials[:end])
+                assert calls == 1 + sum(hi < last for hi in self.BLOCK_ENDS)
+                if first is None:
+                    assert result is None
+                else:
+                    x_new, f_new, _ = result
+                    np.testing.assert_array_equal(x_new, trials[first])
+                    assert f_new == pytest.approx(values[first], rel=1e-12, abs=1e-12)
+                accepted_at.append(first)
+        # The instances accept in the first trial and past the first block,
+        # and some exhaust the search.
+        assert len(accepted_at) >= 40
+        assert 0 in accepted_at and None in accepted_at
+        assert any(i is not None and i >= 9 for i in accepted_at)
+
+    def test_zero_step_cuts_the_block(self):
+        model = IntensityModel.create(3, hidden=(16, 16), rng_seed=5)
+        cfg = AcquisitionConfig(kind="r-lcb", q=1.0)
+        x = np.array([0.5, 0.0, 1.0])
+        # Coordinates 1 and 2 push out of their faces; coordinate 0's step
+        # rounds away once alpha * 3e-15 is below half an ulp of 0.5.
+        p = np.array([3e-15, -1.0, 2.0])
+        g = np.array([-1e12, 0.0, 0.0])
+        f, _ = start_of(model, x, cfg, 8)
+        trials, _, margins = sequential_trials(model, x, f, g, p, cfg, 8)
+        assert 1 < len(trials) < self.BLOCK_ENDS[1]
+        assert (margins > 1e-9).all()
+        result, rows, calls = blocked_search(model, x, f, g, p, cfg, 8)
+        assert result is None
+        assert calls == 2
+        np.testing.assert_array_equal(rows, trials)
+
+    def test_zero_first_step_scores_nothing(self):
+        model = IntensityModel.create(2, hidden=(8,), rng_seed=0)
+        cfg = AcquisitionConfig(kind="r-lcb", q=1.0)
+        x = np.array([0.0, 1.0])
+        f, g = start_of(model, x, cfg, 8)
+        result, rows, calls = blocked_search(model, x, f, g, np.array([-1.0, 1.0]), cfg, 8)
+        assert result is None and calls == 0
+
+    def test_exhausted_search_on_a_face_takes_five_calls(self):
+        cfg = AcquisitionConfig(kind="r-lcb", q=1.0)
+        n_obs = 8
+        model = IntensityModel.create(3, hidden=(16, 16), rng_seed=2)
+        x = np.array([0.0, 0.4, 0.6])
+        f, g = start_of(model, x, cfg, n_obs)
+        assert g[0] > 0.0
+        # A descent direction whose only descending component points out of
+        # the face x[0] = 0: every clipped step climbs along the free
+        # coordinates.
+        p = np.concatenate([[-2.0 / g[0]], g[1:] / float(np.dot(g[1:], g[1:]))])
+        assert float(np.dot(p, g)) < 0.0
+        trials, _, margins = sequential_trials(model, x, f, g, p, cfg, n_obs)
+        assert len(trials) == acquisition._MAX_BACKTRACKS
+        assert (margins > 1e-9).all()
+        result, rows, calls = blocked_search(model, x, f, g, p, cfg, n_obs)
+        assert result is None
+        np.testing.assert_array_equal(rows, trials)
+        assert calls <= 1 + math.ceil((acquisition._MAX_BACKTRACKS - 1)
+                                      / acquisition._LINE_SEARCH_BLOCK) == 5
+
+    def test_starts_are_scored_by_one_call(self):
+        # q -> 0 rectifies every start: one rates call, no descent.
+        recording = RecordingModel(constant_rate_model(2, 3.0))
+        obs = random_obs(np.random.default_rng(72), 8, 2)
+        cfg = AcquisitionConfig(kind="r-lcb", q=1e-6, rng_seed=3)
+        x = propose_next(recording, ContinuousSpace(2), obs, cfg)
+        assert [b.shape for b in recording.batches] == [(acquisition._RESTARTS, 2)]
+        assert recording.grad_calls == 0
+        np.testing.assert_array_equal(x, propose_next(constant_rate_model(2, 3.0),
+                                                      ContinuousSpace(2), obs, cfg))
 
 
 class TestProposeDiscrete:

@@ -73,6 +73,11 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: seeds must be distinct")
         assert list(tmp_path.glob("*.csv")) == []
 
+    def test_negative_seed(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "--seeds=-1") == 2
+        assert capsys.readouterr().err.startswith("error: seeds must be integers >= 0")
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_unreadable_config_file(self, tmp_path):
         assert run_cli(tmp_path, "--config", str(tmp_path / "absent.ini")) == 1
 

@@ -56,6 +56,11 @@ class TestConfigValidation:
         with pytest.raises(InputError, match=field):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+    def test_rejects_seed_that_is_not_a_count(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            BoRunConfig(seed=seed)
+
     def test_numpy_integer_counts_accepted(self):
         cfg = small_config(n_init=np.int64(4), n_iters=np.int32(0), hidden=(np.int64(8),))
         assert len(run(get_benchmark("branin"), cfg)) == 4

@@ -60,6 +60,21 @@ class TestExperimentConfig:
                                seeds=["3", 4])
         assert cfg.seeds == (3, 4)
 
+    # seeds=(1.5,) once became seed 1, seeds=(-1,) failed inside numpy's
+    # generator and workers=1.5 passed the check.
+    @pytest.mark.parametrize("field,value", [
+        ("seeds", (1.5,)), ("seeds", (-1,)), ("seeds", (0, True)), ("seeds", ("1.5",)),
+        ("seeds", ("-1",)), ("workers", 1.5), ("workers", 0), ("workers", True),
+    ])
+    def test_rejects_settings_that_are_not_counts(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            ExperimentConfig(benchmark="branin", method="random-search", **{field: value})
+
+    def test_numpy_integer_seeds_and_workers_accepted(self):
+        cfg = ExperimentConfig(benchmark="branin", method="random-search",
+                               seeds=(np.int64(0), np.int32(7)), workers=np.int64(2))
+        assert cfg.seeds == (0, 7) and all(type(s) is int for s in cfg.seeds)
+
 
 class TestResolveBenchmark:
     def test_registry_name(self):
