@@ -114,8 +114,8 @@ class BenchmarkFunction:
             raise InputError(f"bounds must have shape ({self.dim}, 2), got {bounds.shape}")
         if not np.isfinite(bounds).all() or not (bounds[:, 0] < bounds[:, 1]).all():
             raise InputError("bounds must be finite with lower < upper")
-        if self.noise_sigma < 0:
-            raise InputError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InputError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         object.__setattr__(self, "bounds", bounds)
 
     @property

@@ -29,7 +29,7 @@ class PreconditionError(PopboError, ValueError):
 
 
 class TrainingDivergedError(PopboError, RuntimeError):
-    """Training produced a non-finite loss.
+    """Training produced a non-finite loss or gradient.
 
     Attributes:
         step: index of the optimizer step at which divergence was detected.
@@ -37,7 +37,7 @@ class TrainingDivergedError(PopboError, RuntimeError):
 
     def __init__(self, step: int, message: str | None = None):
         self.step = step
-        super().__init__(message or f"non-finite training loss at step {step}")
+        super().__init__(message or f"non-finite training loss or gradient at step {step}")
 
 
 class RectifiedRegionError(PopboError, RuntimeError):

@@ -81,8 +81,8 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", seeds)
         if self.n_iters < 0:
             raise DomainError("n_iters must be >= 0")
-        if self.noise_sigma < 0:
-            raise DomainError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise DomainError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if not is_count(self.workers, 1):
             raise DomainError(f"workers must be an integer >= 1, got {self.workers!r}")
 
@@ -97,7 +97,7 @@ def resolve_benchmark(name: str, noise_sigma: float = 0.0):
         return get_benchmark(name, noise_sigma)
     path = Path(name)
     if path.suffix.lower() == ".csv" and path.exists():
-        if noise_sigma > 0:
+        if noise_sigma != 0:
             raise DomainError(f"noise_sigma={noise_sigma!r} given for table {name!r}, "
                               "which has no noise model")
         return TabularBenchmark.from_csv(path)

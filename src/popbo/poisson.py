@@ -149,7 +149,10 @@ def log_partial_exp_sums(terms: np.ndarray, count: int) -> list:
     sums = [shift + np.log1p(shifted[..., 1:].sum(axis=-1) + (shifted[..., 0] - 1.0))]
     for i in range(j + 1, m + 1):
         sums.append(np.logaddexp(sums[-1], terms[..., i]))
-    return (sums[::-1] + [np.full(shift.shape, -np.inf)] * (count - m - 1))[:count]
+    sums.reverse()
+    if count > m + 1:
+        sums += [np.full(shift.shape, -np.inf)] * (count - m - 1)
+    return sums[:count]
 
 
 @lru_cache(maxsize=256)

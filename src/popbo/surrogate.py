@@ -189,6 +189,12 @@ class IntensityModel:
     flat first and second moments and its step count t, or None before the
     first fit and after a fit that restored its start.  The next fit
     continues from it.  copy() returns a model without it, which fits cold.
+
+    ``_layer_buffers`` holds two flat float64 buffers that rates() writes
+    its hidden layers into, alternating by layer, so scoring a large batch
+    maps no fresh memory.  They grow to the largest batch seen, and copy() leaves
+    them out.  Every rates() call writes them, so one model must not be
+    scored from two threads at once.
     """
 
     weights: list
@@ -196,6 +202,8 @@ class IntensityModel:
     rng_seed: int = 0
     params: np.ndarray = field(init=False, repr=False, compare=False)
     adam_state: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _layer_buffers: list = field(default_factory=lambda: [np.empty(0), np.empty(0)],
+                                 init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.params = pack_arrays(self.weights, self.biases)
@@ -241,19 +249,29 @@ class IntensityModel:
         fit's float32 working copy, or None for the model's own float64
         parameters; x should share its dtype.  The output pre-activation is
         cast to float64 before the softplus, so the rates are float64 and no
-        float32 exp underflow turns a rate into 0.  Without keep, only the
-        current layer is held and caches is None.
+        float32 exp underflow turns a rate into 0.  Without keep (float64
+        only), each hidden layer is computed in place in a prefix of one of
+        the two _layer_buffers, with the same operations as with keep, and
+        caches is None.
         """
         weights, biases = layers or (self.weights, self.biases)
         h = x
         inputs = [h]
         pre_acts = []
-        for w, b in zip(weights[:-1], biases[:-1]):
-            pre = h @ w + b
-            h = np.maximum(pre, 0.0)
+        for layer, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
             if keep:
+                pre = h @ w + b
+                h = np.maximum(pre, 0.0)
                 pre_acts.append(pre)
                 inputs.append(h)
+                continue
+            size = h.shape[0] * w.shape[1]
+            buf = self._layer_buffers[layer % 2]
+            if buf.size < size:
+                buf = self._layer_buffers[layer % 2] = np.empty(size)
+            h = np.matmul(h, w, out=buf[:size].reshape(-1, w.shape[1]))
+            h += b
+            np.maximum(h, 0.0, out=h)
         z = (h @ weights[-1] + biases[-1])[:, 0].astype(float)
         rates = np.logaddexp(0.0, z)
         return rates, (inputs, pre_acts, z) if keep else None
@@ -403,7 +421,8 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
             rng_seed so repeated calls are bitwise reproducible.
 
     Raises:
-        TrainingDivergedError: a minibatch loss became non-finite.
+        TrainingDivergedError: a minibatch rate or rate derivative, and so the
+            loss or its gradient, became non-finite.
     """
     _require_fittable(obs)
     if cfg.steps == 0:
@@ -433,11 +452,12 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
 
         rates, caches = model._forward(points[idx], layers)
         ranks = obs.ranks[idx]
-        norm, norm_grad = _normalizer(rates, n, slope=True)
-        # The sum is finite exactly when the mean loss is.
-        if not math.isfinite(float(_ll_terms(rates, ranks, norm).sum())):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_rates = ranks / rates - _normalizer(rates, n, slope=True)[1]
+        # A 0 rate at rank 0 has a finite loss but a 0/0 derivative; an
+        # infinite rate in the plain regime has a finite derivative of -1.
+        if not (np.isfinite(rates).all() and np.isfinite(d_rates).all()):
             raise TrainingDivergedError(step)
-        d_rates = ranks / rates - norm_grad
         model._backward(caches, -d_rates / idx.size, grad_w, grad_b, layers[0])
         if step % _FLUSH_EVERY == 0:
             adam.flush()

@@ -6,12 +6,15 @@ benchmark workloads: (N, d) = (35, 6), the largest `hartmann6-eri` step
 8^4-row table).  The pieces are the fit's forward and backward passes over
 a full batch, one ADAM step, `_ll_terms`, `log_partial_exp_sums`,
 `objective_and_drate` on one rate, one `_descend` (from the observed point
-of lowest rate), `propose_next` and `compute_ranks`.  Each time is the
-minimum and the median, in microseconds, over repeats of a timed loop; the
-number of `model.rates` calls that one `_descend` and one `propose_next`
-make is counted beside them (the line search scores its trials in batches,
-so this shows the mechanism behind the timings), and the environment
-(Python, numpy, BLAS, `nproc`, `OPENBLAS_NUM_THREADS`) is recorded:
+of lowest rate), `propose_next` and `compute_ranks`, and at (11, 4) one
+`model.rates` call on the discrete proposer's batch of sampled rows, with
+its minor page faults per call (from `resource.getrusage`, where the
+platform has it).  Each time is the minimum and the median, in
+microseconds, over repeats of a timed loop; the number of `model.rates`
+calls that one `_descend` and one `propose_next` make is counted beside
+them (the line search scores its trials in batches, so this shows the
+mechanism behind the timings), and the environment (Python, numpy, BLAS,
+`nproc`, `OPENBLAS_NUM_THREADS`) is recorded:
 
     OPENBLAS_NUM_THREADS=1 python studies/layers.py [--src DIR] [--out FILE]
     python studies/layers.py --smoke     # one call each, to check that it runs
@@ -35,6 +38,11 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = ((35, 6), (11, 4))
@@ -77,6 +85,18 @@ def timed(fn, smoke: bool) -> dict:
             fn()
         per_call.append((time.perf_counter() - t0) / number * 1e6)
     return {"min_us": min(per_call), "p50_us": float(np.median(per_call)), "calls": number}
+
+
+def minor_faults(fn, smoke: bool) -> float | None:
+    """Minor page faults per call of fn, or None without resource.getrusage."""
+    if resource is None:
+        return None
+    fn()
+    calls = 1 if smoke else 50
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 
 
 def training_pass(surrogate, model):
@@ -167,7 +187,7 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
     descend = descent(acquisition, model, x0, cfg, n, cfg.q * n)
     propose = functools.partial(acquisition.propose_next, model, space, obs, cfg)
 
-    return {
+    report = {
         "train_dtype": np.dtype(dtype).name,
         "forward": timed(lambda: forward(points), smoke),
         "backward": timed(lambda: backward(caches, d_rates, grad_w, grad_b), smoke),
@@ -182,6 +202,15 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
         "rates_calls": {"_descend": rates_calls(model, descend),
                         "propose_next": rates_calls(model, propose)},
     }
+    if isinstance(space, DiscreteSpace):
+        rows = space.candidates[rng.integers(0, space.n_candidates,
+                                             size=acquisition._DISCRETE_SAMPLES)]
+        report["rates_discrete_batch"] = {
+            **timed(lambda: model.rates(rows), smoke),
+            "rows": len(rows),
+            "minor_faults_per_call": minor_faults(lambda: model.rates(rows), smoke),
+        }
+    return report
 
 
 def main(argv=None) -> int:

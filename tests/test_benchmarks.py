@@ -125,6 +125,11 @@ class TestEvaluate:
         with pytest.raises(InputError):
             noisy.evaluate([0.2, 0.2])
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.5])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(InputError, match="noise_sigma"):
+            get_benchmark("branin", noise_sigma=sigma)
+
     def test_noise_is_seeded_and_additive(self):
         noisy = get_benchmark("branin", noise_sigma=0.5)
         x = np.array([0.2, 0.2])

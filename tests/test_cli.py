@@ -45,6 +45,12 @@ class TestUsageErrors:
                      "--noise-sigma", "0.5", "--out", str(tmp_path)]) == 2
         assert "noise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_sigma(self, tmp_path, capsys, value):
+        assert run_cli(tmp_path, "--noise-sigma", value) == 2
+        assert capsys.readouterr().err.startswith("error: noise_sigma must be finite")
+        assert list(tmp_path.glob("*.csv")) == []
+
     @pytest.mark.parametrize("flag, value, kind", [
         ("iters", "abc", "an integer"),
         ("q", "high", "a number"),

@@ -70,6 +70,12 @@ class TestExperimentConfig:
         with pytest.raises(DomainError, match=field):
             ExperimentConfig(benchmark="branin", method="random-search", **{field: value})
 
+    # NaN once ran silently noiseless: it fails "< 0" and "> 0" alike.
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.5])
+    def test_rejects_noise_sigma_that_is_not_finite_and_nonnegative(self, sigma):
+        with pytest.raises(DomainError, match="noise_sigma"):
+            ExperimentConfig(benchmark="branin", method="random-search", noise_sigma=sigma)
+
     def test_numpy_integer_seeds_and_workers_accepted(self):
         cfg = ExperimentConfig(benchmark="branin", method="random-search",
                                seeds=(np.int64(0), np.int32(7)), workers=np.int64(2))
@@ -94,8 +100,9 @@ class TestResolveBenchmark:
     def test_noise_on_table_rejected(self, tmp_path):
         p = tmp_path / "grid.csv"
         p.write_text("a,value\n1,0.5\n2,0.25\n", encoding="utf-8")
-        with pytest.raises(DomainError, match="noise"):
-            resolve_benchmark(str(p), noise_sigma=0.5)
+        for sigma in (0.5, math.nan):
+            with pytest.raises(DomainError, match="noise"):
+                resolve_benchmark(str(p), noise_sigma=sigma)
 
     def test_default_init_sizes(self):
         assert default_n_init("rosenbrock6") == 30

@@ -1,6 +1,7 @@
 """Tests for ranks, the intensity network, the likelihood and its gradient, and training."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,58 @@ class TestNetwork:
             np.concatenate([w.ravel() for w in model.weights] + list(model.biases)))
         model.params[...] = 0.5
         assert all((part == 0.5).all() for part in model.weights + model.biases)
+
+
+def fresh_rates(model, x):
+    """The forward pass on fresh arrays: the bits the buffered rates must match."""
+    h = x
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+    return np.logaddexp(0.0, (h @ model.weights[-1] + model.biases[-1])[:, 0])
+
+
+class TestBufferedRates:
+    """rates computes its hidden layers in two buffers that the model keeps."""
+
+    @pytest.mark.parametrize("hidden", [DEFAULT_HIDDEN, (8, 16, 5)])
+    def test_bitwise_equal_to_fresh_arrays(self, hidden):
+        # 1000 then 10 rows: a small batch in buffers grown by a large one.
+        model = IntensityModel.create(4, hidden=hidden, rng_seed=3)
+        rng = np.random.default_rng(1)
+        for n in (1, 10, 1000, 10):
+            x = rng.uniform(size=(n, 4))
+            assert model.rates(x).tobytes() == fresh_rates(model, x).tobytes()
+
+    def test_earlier_result_survives_later_calls(self):
+        model = IntensityModel.create(4, rng_seed=3)
+        rng = np.random.default_rng(2)
+        x = rng.uniform(size=(1000, 4))
+        first = model.rates(x)
+        kept = first.copy()
+        model.rates(rng.uniform(size=(1000, 4)))
+        np.testing.assert_array_equal(first, kept)
+
+    def test_copy_carries_no_buffer(self):
+        model = IntensityModel.create(4, rng_seed=3)
+        model.rates(np.full((1000, 4), 0.5))
+        assert all(buf.size >= 1000 * DEFAULT_HIDDEN[0] for buf in model._layer_buffers)
+        clone = model.copy()
+        assert all(buf.size == 0 for buf in clone._layer_buffers)
+        assert "_layer_buffers" not in repr(model)
+
+    def test_repeated_large_batch_allocates_little(self):
+        # Fresh 1000x128 float64 layer arrays would peak near 4 MB; with the
+        # buffers only the output layer and the rates are allocated.
+        model = IntensityModel.create(4, rng_seed=3)
+        x = np.random.default_rng(3).uniform(size=(1000, 4))
+        model.rates(x)
+        tracemalloc.start()
+        try:
+            model.rates(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 class TestLogLikelihood:
@@ -411,6 +464,30 @@ class TestFit:
         obs = ObservationSet.from_values([[0.1], [0.9]], [1.0, 2.0])
         with pytest.raises(TrainingDivergedError) as info:
             fit(model, obs, TrainConfig(steps=10), rng=np.random.default_rng(0))
+        assert info.value.step == 0
+
+    # Rate 0 at the rank-0 point x = 0 and 1e6 at x = 1: the loss is finite,
+    # but the rank-0 derivative 0/0 - 1 is NaN, which ADAM would write into
+    # every parameter.
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_nan_rate_derivative_raises_at_its_step(self, steps):
+        model = IntensityModel([np.array([[2e6]]), np.array([[1.0]])],
+                               [np.array([0.0]), np.array([-1e6])])
+        obs = ObservationSet([[0.0], [1.0]], [0.0, 1.0], [0, 1])
+        np.testing.assert_array_equal(model.rates(obs.points), [0.0, 1e6])
+        with pytest.raises(TrainingDivergedError) as info:
+            fit(model, obs, TrainConfig(steps=steps))
+        assert info.value.step == 0
+        assert model.adam_state is None
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_infinite_rate_in_plain_regime_raises(self):
+        # The output bias overflows float32 training to rate +inf, whose plain
+        # derivative k/inf - 1 = -1 is finite: only the rate check sees it.
+        model = constant_rate_model(1, 1e39)
+        obs = random_obs(np.random.default_rng(2), TRUNCATION_SWITCH_N, 1)
+        with pytest.raises(TrainingDivergedError) as info:
+            fit(model, obs, TrainConfig(steps=3), rng=np.random.default_rng(0))
         assert info.value.step == 0
 
 
