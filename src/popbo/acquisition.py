@@ -161,7 +161,7 @@ def grad_acquisition(model: IntensityModel, x, cfg: AcquisitionConfig, n_obs: in
     points have no gradient.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.min() < 0.0 or x.max() > 1.0:
+    if not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails too
         raise DomainError("x must lie in the unit hypercube")
     rate, grad = _rate_and_objective_grad(model, x, cfg, n_obs)
     threshold = cfg.q * n_obs

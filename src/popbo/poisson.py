@@ -37,47 +37,11 @@ __all__ = [
     "log_partial_exp_sum",
     "log_partial_exp_sums",
     "partial_sum_log_terms",
-    "logsumexp",
 ]
 
 
-def logsumexp(a, axis: int = -1):
-    """log(sum(exp(a))) along one axis, bitwise equal to scipy.special.logsumexp.
-
-    Step for step the algorithm scipy uses on real input without weights:
-    the maximum is split off, log1p(s / m) + log(m) + max is returned, with s
-    the sum of the remaining shifted exponentials and m the number of entries
-    tied at the maximum, and wherever that result is not finite (all entries
-    -inf, or a +inf entry) the direct log(sum(exp(a))) replaces it.  The same
-    elementwise operations and the same contiguous reductions in the same
-    order give the same bits; skipping scipy's array-API dispatch makes it
-    several times faster on the short vectors of pmf_vector, its one user.
-
-    Args:
-        a: array_like of reals; a 1-d input reduces to a numpy scalar.
-        axis: the axis to reduce.
-
-    Returns:
-        The reduced array (or scalar).
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=axis, keepdims=True)
-        is_max = a == a_max
-        m = is_max.sum(axis=axis, keepdims=True, dtype=float)
-        rest = a.copy()
-        np.putmask(rest, is_max, -np.inf)
-        rest -= a_max
-        np.exp(rest, out=rest)
-        # scipy keeps s where s == 0; s / m is that same 0 there.
-        out = np.log1p(rest.sum(axis=axis, keepdims=True) / m)
-        out += np.log(m)
-        out += a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
-    out = out.squeeze(axis=axis)
-    return out[()] if out.ndim == 0 else out
+# Unused but bound: perfbench/tracer.py patches logsumexp here and in acquisition.
+logsumexp = np.logaddexp.reduce
 
 
 def log_factorials(max_k: int) -> np.ndarray:
@@ -201,6 +165,8 @@ def pmf_vector(rate: float, max_rank: int) -> np.ndarray:
     the mode, so the log terms stay small where the mass lies (the terms
     k log(rate) - log k! reach 1e5 at rate 1e4, where their rounding shifts
     the mean by 3e-9).  At rate 0 every step is -inf: all mass sits on rank 0.
+    The pmf peaks at the mode, so log p is 0 there and <= 0 elsewhere: the
+    sum of exp(log p) lies in [1, max_rank + 1] and needs no shift.
     """
     dist = TruncatedPoisson(rate, max_rank)
     mode = min(int(dist.rate), dist.max_rank)
@@ -209,7 +175,8 @@ def pmf_vector(rate: float, max_rank: int) -> np.ndarray:
     log_p = np.zeros(dist.max_rank + 1)
     log_p[mode + 1:] = np.cumsum(steps[mode:])
     log_p[:mode] = -np.cumsum(steps[:mode][::-1])[::-1]
-    return np.exp(log_p - logsumexp(log_p))
+    p = np.exp(log_p)
+    return p / p.sum()
 
 
 def truncated_means(rates: np.ndarray, max_rank: int, slope: bool = False):

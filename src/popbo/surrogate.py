@@ -63,20 +63,6 @@ def is_count(value, minimum: int) -> bool:
             and value >= minimum)
 
 
-def _expit(t: float) -> float:
-    """Logistic sigmoid 1 / (1 + exp(-t)) of one float.
-
-    The formula scipy.special.expit evaluates, on the C library's exp
-    through math.exp, so the bits are the same as scipy's; numpy's SIMD exp
-    differs from it in the last bit.  exp(-t) overflows only when the
-    sigmoid rounds to 0.
-    """
-    try:
-        return 1.0 / (1.0 + math.exp(-t))
-    except OverflowError:
-        return 0.0
-
-
 def compute_ranks(values) -> np.ndarray:
     """Strict-dominance ranks: ranks[j] = |{i != j : values[i] < values[j]}|.
 
@@ -249,10 +235,11 @@ class IntensityModel:
         fit's float32 working copy, or None for the model's own float64
         parameters; x should share its dtype.  The output pre-activation is
         cast to float64 before the softplus, so the rates are float64 and no
-        float32 exp underflow turns a rate into 0.  Without keep (float64
-        only), each hidden layer is computed in place in a prefix of one of
-        the two _layer_buffers, with the same operations as with keep, and
-        caches is None.
+        float32 exp underflow turns a rate into 0.  caches ends with the
+        softplus slope 1 / (1 + exp(-z)) at the output pre-activation z.
+        Without keep (float64 only), each hidden layer is computed in place
+        in a prefix of one of the two _layer_buffers, with the same
+        operations as with keep, and caches is None.
         """
         weights, biases = layers or (self.weights, self.biases)
         h = x
@@ -274,7 +261,12 @@ class IntensityModel:
             np.maximum(h, 0.0, out=h)
         z = (h @ weights[-1] + biases[-1])[:, 0].astype(float)
         rates = np.logaddexp(0.0, z)
-        return rates, (inputs, pre_acts, z) if keep else None
+        if not keep:
+            return rates, None
+        # exp(-z) overflows to inf only where the slope rounds to 0.
+        with np.errstate(over="ignore"):
+            slope = 1.0 / (1.0 + np.exp(-z))
+        return rates, (inputs, pre_acts, slope)
 
     def rates(self, x) -> np.ndarray:
         """Predicted rates for a batch of points, shape (n, d) -> (n,)."""
@@ -298,9 +290,8 @@ class IntensityModel:
                 then cast to their dtype.
         """
         weights = weights or self.weights
-        inputs, pre_acts, z = caches
-        delta = (d_rates * np.array([_expit(t) for t in z.tolist()])).astype(
-            weights[-1].dtype, copy=False)[:, None]
+        inputs, pre_acts, slope = caches
+        delta = (d_rates * slope).astype(weights[-1].dtype, copy=False)[:, None]
         np.matmul(inputs[-1].T, delta, out=grad_w[-1])
         delta.sum(axis=0, out=grad_b[-1])
         downstream = delta @ weights[-1].T
@@ -323,8 +314,10 @@ class IntensityModel:
         x = np.asarray(x, dtype=float).reshape(1, -1)
         if x.shape[1] != self.dim:
             raise InputError(f"expected {self.dim} coordinates, got {x.shape[1]}")
-        rates, (inputs, pre_acts, z) = self._forward(x)
-        v = _expit(float(z[0])) * self.weights[-1][:, 0]
+        if not np.isfinite(x).all():
+            raise InputError("non-finite inputs")
+        rates, (_, pre_acts, slope) = self._forward(x)
+        v = slope[0] * self.weights[-1][:, 0]
         for layer in range(len(self.weights) - 2, -1, -1):
             v = self.weights[layer] @ (v * (pre_acts[layer][0] > 0.0))
         return float(rates[0]), v
@@ -357,9 +350,11 @@ def rate_gradient(rates: np.ndarray, ranks: np.ndarray, n_obs: int) -> np.ndarra
     """Per-point derivative of the log-likelihood with respect to each rate.
 
     Equals k/rate - S(N-2)/S(N-1) below the switch and k/rate - 1 above it.
+    A 0 rate gives a non-finite derivative, without a warning.
     """
     rates = np.asarray(rates, dtype=float)
-    return np.asarray(ranks) / rates - _normalizer(rates, n_obs, slope=True)[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.asarray(ranks) / rates - _normalizer(rates, n_obs, slope=True)[1]
 
 
 def _require_fittable(obs: ObservationSet):
@@ -451,9 +446,7 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
         pos += batch
 
         rates, caches = model._forward(points[idx], layers)
-        ranks = obs.ranks[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d_rates = ranks / rates - _normalizer(rates, n, slope=True)[1]
+        d_rates = rate_gradient(rates, obs.ranks[idx], n)
         # A 0 rate at rank 0 has a finite loss but a 0/0 derivative; an
         # infinite rate in the plain regime has a finite derivative of -1.
         if not (np.isfinite(rates).all() and np.isfinite(d_rates).all()):

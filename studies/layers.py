@@ -6,15 +6,18 @@ benchmark workloads: (N, d) = (35, 6), the largest `hartmann6-eri` step
 8^4-row table).  The pieces are the fit's forward and backward passes over
 a full batch, one ADAM step, `_ll_terms`, `log_partial_exp_sums`,
 `objective_and_drate` on one rate, one `_descend` (from the observed point
-of lowest rate), `propose_next` and `compute_ranks`, and at (11, 4) one
-`model.rates` call on the discrete proposer's batch of sampled rows, with
-its minor page faults per call (from `resource.getrusage`, where the
-platform has it).  Each time is the minimum and the median, in
-microseconds, over repeats of a timed loop; the number of `model.rates`
-calls that one `_descend` and one `propose_next` make is counted beside
-them (the line search scores its trials in batches, so this shows the
-mechanism behind the timings), and the environment (Python, numpy, BLAS,
-`nproc`, `OPENBLAS_NUM_THREADS`) is recorded:
+of lowest rate), `propose_next` and `compute_ranks`; at (35, 6) one
+`rate_and_input_grad` call, beside a one-row `model.rates` call at the
+same point (the descent makes one of the first per accepted iterate); and
+at (11, 4) one `model.rates` call on the discrete proposer's batch of
+sampled rows, with its minor page faults per call (from
+`resource.getrusage`, where the platform has it).  Each time is the
+minimum and the median, in microseconds, over repeats of a timed loop; the
+number of `model.rates` calls that one `_descend` and one `propose_next`
+make is counted beside them (the line search scores its trials in
+batches, so this shows the mechanism behind the timings), and the
+environment (Python, numpy, BLAS, `nproc`, `OPENBLAS_NUM_THREADS`) is
+recorded:
 
     OPENBLAS_NUM_THREADS=1 python studies/layers.py [--src DIR] [--out FILE]
     python studies/layers.py --smoke     # one call each, to check that it runs
@@ -210,6 +213,9 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
             "rows": len(rows),
             "minor_faults_per_call": minor_faults(lambda: model.rates(rows), smoke),
         }
+    else:
+        report["rate_and_input_grad"] = timed(lambda: model.rate_and_input_grad(x0), smoke)
+        report["rates_one_row"] = timed(lambda: model.rates(x0[None, :]), smoke)
     return report
 
 

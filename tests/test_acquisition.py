@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 import popbo.acquisition as acquisition
 from popbo.acquisition import (
@@ -17,7 +18,7 @@ from popbo.acquisition import (
     propose_next,
 )
 from popbo.errors import DomainError, PreconditionError, RectifiedRegionError
-from popbo.poisson import log_factorials, log_partial_exp_sum, logsumexp, pmf_vector
+from popbo.poisson import log_factorials, log_partial_exp_sum, pmf_vector
 from popbo.space import ContinuousSpace, DiscreteSpace
 from popbo.surrogate import IntensityModel, ObservationSet
 
@@ -398,6 +399,11 @@ class TestGradAcquisition:
                 e[i] = h
                 fd = (value(x + e) - value(x - e)) / (2.0 * h)
                 assert abs(grad[i] - fd) <= 1e-4 * max(1.0, abs(fd))
+
+    def test_rejects_nan_coordinate(self):
+        model = IntensityModel.create(2, hidden=(8,), rng_seed=0)
+        with pytest.raises(DomainError, match="unit hypercube"):
+            grad_acquisition(model, [math.nan, 0.5], AcquisitionConfig(q=1.0), 6)
 
     def test_rectified_point_has_no_gradient(self):
         model = constant_rate_model(2, 3.0)  # rate ~ 3.05 everywhere

@@ -16,7 +16,6 @@ from popbo.poisson import (
     log_factorials,
     log_partial_exp_sum,
     log_partial_exp_sums,
-    logsumexp,
     partial_sum_log_terms,
     pmf_vector,
     truncated_mean,
@@ -75,7 +74,7 @@ class TestLogHelpers:
                     if i > m:
                         assert (log_s == -np.inf).all()
                         continue
-                    ref = logsumexp(terms[:, :m + 1 - i], axis=-1)
+                    ref = scipy_logsumexp(terms[:, :m + 1 - i], axis=-1)
                     assert np.isfinite(log_s).all()
                     np.testing.assert_allclose(log_s, ref, rtol=1e-14, atol=0.0)
 
@@ -215,6 +214,18 @@ class TestPmfFarSupport:
         assert abs(p.sum() - 1.0) <= 1e-12
         assert abs(float(ks @ p) - rate) <= 1e-10
 
+    def test_normalization_matches_logsumexp(self):
+        # pmf_vector divides by the plain sum of exp(log p); scipy's
+        # logsumexp of the log Poisson law normalizes the same support,
+        # including supports cut far below the rate, where the mode is
+        # max_rank and every other log p is far below 0.
+        for rate in (0.5, 8.0, 300.0, 1e4):
+            for max_rank in (1, 7, 60, 400):
+                log_pmf = scipy_poisson.logpmf(np.arange(max_rank + 1), rate)
+                ref = np.exp(log_pmf - scipy_logsumexp(log_pmf))
+                np.testing.assert_allclose(pmf_vector(rate, max_rank), ref,
+                                           rtol=1e-10, atol=1e-300)
+
     @pytest.mark.parametrize("rate,max_rank", [(0.0, 5), (0.0, 50), (1.0, 0), (1e4, 0)])
     def test_edge_laws_put_all_mass_at_zero(self, rate, max_rank):
         p = pmf_vector(rate, max_rank)
@@ -252,40 +263,3 @@ class TestCorrectRankingProbability:
             correct_ranking_probability(1.0, 0.0)
         with pytest.raises(DomainError):
             correct_ranking_probability(1.0, -0.5)
-
-
-def logsumexp_corpus(seed=0, count=4000):
-    """Seeded 1-d and 2-d arrays with ties, -inf entries and all--inf rows."""
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        shape = (int(rng.integers(1, 20)),) if i % 2 else \
-            (int(rng.integers(1, 6)), int(rng.integers(1, 15)))
-        a = rng.normal(scale=rng.choice([1e-3, 1.0, 30.0, 800.0]), size=shape)
-        if rng.uniform() < 0.3:
-            a = np.round(a)  # ties at the maximum
-        if rng.uniform() < 0.3:
-            a[rng.uniform(size=shape) < 0.3] = -np.inf
-        if a.ndim == 2 and rng.uniform() < 0.2:
-            a[0] = -np.inf  # one all--inf row
-        if rng.uniform() < 0.05:
-            a[...] = -np.inf
-        yield a
-
-
-class TestLogsumexp:
-    def test_bitwise_equal_to_scipy(self):
-        for a in logsumexp_corpus():
-            ours, ref = logsumexp(a, axis=-1), scipy_logsumexp(a, axis=-1)
-            assert type(ours) is type(ref)
-            assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes(), a
-
-    def test_list_input_reduces_to_scalar(self):
-        terms = [0.5, -1.0, 2.0]
-        assert logsumexp(terms) == scipy_logsumexp(terms)
-        assert math.isclose(logsumexp(terms), math.log(sum(math.exp(t) for t in terms)),
-                            rel_tol=1e-15)
-
-    def test_edge_values(self):
-        assert logsumexp([-np.inf, -np.inf]) == -np.inf
-        assert logsumexp([np.inf, 0.0]) == np.inf
-        assert logsumexp([3.0, 3.0]) == 3.0 + math.log(2.0)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from popbo.surrogate import (
     ObservationSet,
     TrainConfig,
     _Adam,
-    _expit,
     _ll_terms,
     _normalizer,
     compute_ranks,
@@ -183,6 +183,13 @@ class TestNetwork:
                       - model.rates((x - e)[None, :])[0]) / (2.0 * h)
                 assert abs(grad[i] - fd) <= 1e-4 * max(1.0, abs(fd))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_input_gradient_rejects_non_finite_input(self, bad):
+        # As rates does: a NaN would otherwise come back as a NaN gradient.
+        model = IntensityModel.create(2, hidden=(8,), rng_seed=0)
+        with pytest.raises(InputError):
+            model.rate_and_input_grad([bad, 0.5])
+
     def test_copy_is_deep(self):
         model = IntensityModel.create(2, hidden=(4,), rng_seed=0)
         clone = model.copy()
@@ -335,21 +342,63 @@ def expit_corpus(seed=0, count=200_000):
                            extremes, np.negative(extremes)]).tolist()
 
 
-class TestExpit:
-    def test_bitwise_equal_to_scipy(self):
-        values = expit_corpus()
-        ours = np.array([_expit(t) for t in values])
-        ref = scipy_expit(np.array(values))
-        assert ours.tobytes() == ref.tobytes()
+def slope_model(t):
+    """No hidden layer and weights (0, 1): at x = 0 the output pre-activation is t.
+
+    Its input gradient is slope * (0, 1), so the second coordinate is the
+    softplus slope itself.
+    """
+    model = IntensityModel.create(2, hidden=(), rng_seed=0)
+    model.weights[0][:, 0] = (0.0, 1.0)
+    model.biases[0][0] = t
+    return model
+
+
+def backward_slope(t):
+    """The softplus slope that _backward applies at the pre-activation t (one row)."""
+    model = slope_model(t)
+    _, caches = model._forward(np.zeros((1, 2)))
+    grad_w, grad_b = model._views(np.empty_like(model.params))
+    model._backward(caches, np.ones(1), grad_w, grad_b)
+    return float(grad_b[-1][0])
+
+
+class TestSoftplusSlope:
+    """The cached softplus slope, numpy's 1 / (1 + exp(-z)), against scipy's expit."""
+
+    def test_within_two_ulp_of_scipy(self):
+        values = np.array(expit_corpus())
+        points = np.column_stack([np.zeros_like(values), values])  # pre-activation = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, (_, _, slope) = slope_model(0.0)._forward(points)
+        ref = scipy_expit(values)
+        # Non-negative doubles are ordered like their bit patterns.
+        assert np.abs(slope.view(np.int64) - ref.view(np.int64)).max() <= 2
+        sample = values[::1000]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            by_backward = [backward_slope(t) for t in sample]
+            by_input_grad = [slope_model(t).rate_and_input_grad([0.0, 0.0])[1][1]
+                             for t in sample]
+        np.testing.assert_array_equal(by_backward, slope[::1000])
+        np.testing.assert_array_equal(by_input_grad, slope[::1000])
 
     def test_edge_values(self):
-        assert _expit(0.0) == 0.5 and _expit(-0.0) == 0.5
-        assert _expit(800.0) == 1.0 and _expit(np.inf) == 1.0
-        assert _expit(-800.0) == 0.0 and _expit(-np.inf) == 0.0
-        assert math.isnan(_expit(math.nan))
+        edges = [(-800.0, 0.0), (-np.inf, 0.0), (0.0, 0.5), (-0.0, 0.5),
+                 (800.0, 1.0), (np.inf, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t, expected in edges:
+                assert backward_slope(t) == expected, t
+                assert slope_model(t).rate_and_input_grad([0.0, 0.0])[1][1] == expected, t
 
-    def test_numpy_scalar_input(self):
-        assert _expit(np.float64(-3.25)) == scipy_expit(-3.25)
+    def test_nan_gives_nan(self):
+        # Only the softplus flags NaN as invalid; the slope itself raises nothing.
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            assert math.isnan(backward_slope(math.nan))
+            assert math.isnan(slope_model(math.nan).rate_and_input_grad([0.0, 0.0])[1][1])
 
 
 class TestNormalizer:
