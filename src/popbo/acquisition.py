@@ -2,7 +2,8 @@
 
 Two acquisitions are defined on a candidate's predicted rate:
 
-* lcb:  mu - beta * sqrt(mu), with mu the (truncated or plain) expected rank.
+* lcb:  mu - beta * sqrt(mu), with mu the expected rank under the truncated
+  or the plain law, as poisson.log_normalizer decides from n_obs.
 * eri:  sum_{k=0..k_max} (k_max - k) * pmf(k), the expected margin by which
   the candidate's rank beats the worst tolerable rank; maximizing it is
   implemented as minimizing its negation.
@@ -25,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, RectifiedRegionError
+from .errors import DomainError, PreconditionError, RectifiedRegionError, is_count
 # Unused but bound: perfbench/tracer.py patches log_factorials, log_partial_exp_sum, logsumexp.
-from .poisson import (log_factorials, log_partial_exp_sum, log_partial_exp_sums, logsumexp,
-                      partial_sum_log_terms, truncated_means)
+from .poisson import (log_factorials, log_normalizer, log_partial_exp_sum, logsumexp,
+                      partial_sum_log_terms)
 from .space import ContinuousSpace, DiscreteSpace
-from .surrogate import TRUNCATION_SWITCH_N, IntensityModel, ObservationSet, is_count
+from .surrogate import IntensityModel, ObservationSet
 
 __all__ = [
     "AcquisitionConfig",
@@ -91,28 +92,29 @@ class AcquisitionConfig:
 def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig, drate: bool = True):
     """Minimization objective per rate (1-d array), and its rate derivative.
 
-    The rank pmf is p_j = r^j / j! / Z on {0..n_obs}: Z = S(n_obs) below
-    TRUNCATION_SWITCH_N, exp(r) (plain Poisson) at or above it.  r-lcb is
-    sqrt(mu) * (sqrt(mu) - beta) with mu = r S(n_obs-1) / S(n_obs) or r, and
-    slope (1 - beta / (2 sqrt(mu))) * dmu/dr (0 where mu = 0).  eri is -ERI,
-    ERI = F_0 + ... + F_{k_max-1} with F_j = p_0 + ... + p_j; as
-    dp_j/dr = p_{j-1} - rho p_j with rho = d log Z / dr (1 plain,
-    1 - p_{n_obs} truncated), dERI/dr = (1 - rho) * ERI - F_{k_max-1}.
-    Each p_j is one exp of a log-space term, so every finite rate >= 0
-    gives finite results.  eri's k_max <= n_obs is checked here and nowhere
-    else in this module; rectification is the caller's.
+    The rank pmf is p_j = r^j / j! / Z on {0..n_obs}; poisson.log_normalizer
+    gives log Z and its rate derivatives d1, d2 in either regime.  r-lcb is
+    sqrt(mu) * (sqrt(mu) - beta) with the mean mu = r d1, and slope
+    (1 - beta / (2 sqrt(mu))) * dmu/dr with dmu/dr = d1 + r d2 (0 where
+    mu = 0).  eri is -ERI, ERI = F_0 + ... + F_{k_max-1} with
+    F_j = p_0 + ... + p_j; as dp_j/dr = p_{j-1} - d1 p_j,
+    dERI/dr = (1 - d1) * ERI - F_{k_max-1}.  Each p_j is one exp of a
+    log-space term, so every finite rate >= 0 gives finite results.  eri's
+    k_max <= n_obs is checked here and nowhere else in this module;
+    rectification is the caller's.
 
     Returns:
         (values, slopes), slopes None unless drate.
     """
     rates = np.asarray(rates, dtype=float)
-    plain = n_obs >= TRUNCATION_SWITCH_N
     if cfg.kind == "r-lcb":
-        mu, dmu = (rates, 1.0) if plain else truncated_means(rates, n_obs, drate)
+        log_z = log_normalizer(rates, n_obs, n_obs, 2 if drate else 1)
+        mu = rates * log_z[1]
         root = np.sqrt(mu)
         values = root * (root - cfg.beta)
         if not drate:
             return values, None
+        dmu = log_z[1] + rates * log_z[2]
         with np.errstate(divide="ignore", invalid="ignore"):
             return values, np.where(mu > 0.0, (1.0 - cfg.beta / (2.0 * root)) * dmu, 0.0)
 
@@ -121,15 +123,13 @@ def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig, drate: bool =
     if cfg.k_max == 0:
         zeros = np.zeros_like(rates)
         return zeros, zeros if drate else None
-    terms = partial_sum_log_terms(rates, cfg.k_max - 1 if plain else n_obs)
-    log_z = rates if plain else log_partial_exp_sums(terms, 1)[0]
-    pmf = np.exp(terms - log_z[..., None])
-    cdf = np.add.accumulate(pmf[..., :cfg.k_max], axis=-1)
+    log_z = log_normalizer(rates, n_obs, n_obs, 1 if drate else 0)
+    pmf = np.exp(partial_sum_log_terms(rates, cfg.k_max - 1) - log_z[0][..., None])
+    cdf = np.add.accumulate(pmf, axis=-1)
     eri_values = cdf.sum(axis=-1)
     if not drate:
         return -eri_values, None
-    slopes = cdf[..., -1] if plain else cdf[..., -1] - pmf[..., -1] * eri_values
-    return -eri_values, slopes
+    return -eri_values, cdf[..., -1] - (1.0 - log_z[1]) * eri_values
 
 
 def lcb(rate: float, n_obs: int, beta: float) -> float:

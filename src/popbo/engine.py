@@ -19,16 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .acquisition import AcquisitionConfig, propose_next
-from .errors import EvaluationFailedError, InputError, PopboError, PreconditionError
-from .surrogate import (
-    DEFAULT_HIDDEN,
-    IntensityModel,
-    ObservationSet,
-    TrainConfig,
-    compute_ranks,
-    fit,
-    is_count,
-)
+from .errors import EvaluationFailedError, InputError, PopboError, PreconditionError, is_count
+from .surrogate import (DEFAULT_HIDDEN, IntensityModel, ObservationSet, TrainConfig,
+                        compute_ranks, fit)
 
 __all__ = ["BoRunConfig", "TraceRecord", "RegretTrace", "run", "random_search_baseline",
            "incumbent"]

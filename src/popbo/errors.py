@@ -1,6 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer check, shared across the package."""
 
 import copyreg
+
+import numpy as np
+
+
+def is_count(value, minimum: int) -> bool:
+    """Whether value is an integer (a Python or numpy int, not a bool) >= minimum."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum)
 
 
 class PopboError(Exception):

@@ -21,8 +21,7 @@ import numpy as np
 from .acquisition import AcquisitionConfig
 from .benchmarks import BENCHMARK_NAMES, TabularBenchmark, default_n_init, get_benchmark
 from .engine import BoRunConfig, RegretTrace, random_search_baseline, run
-from .errors import DomainError, InputError, PopboError
-from .surrogate import is_count
+from .errors import DomainError, InputError, PopboError, is_count
 
 __all__ = [
     "METHODS",

@@ -8,10 +8,12 @@ distribution restricted to the support {0, ..., max_rank}:
 The exp(-rate) factor of the plain Poisson cancels between numerator and
 normalizer, so it is never evaluated.  All arithmetic runs in log space so
 that rates up to 1e4 neither overflow nor lose the small-probability tail.
-Every normalizer and mean (fit, likelihood, acquisition, truncated_mean) is
-read off one term matrix, log(rate^i / i!) for i = 0..m, by
-log_partial_exp_sums.  pmf_vector, the library's one pmf, is built apart
-from that matrix (outward from the mode), so it is also an independent
+log_normalizer is the one normalizer of the library's rank laws (likelihood,
+acquisition, truncated_mean): it decides, from the number of observations,
+whether a law is truncated (below TRUNCATION_SWITCH_N) or plain Poisson, and
+reads the truncated one off the running sums of one term matrix,
+log(rate^i / i!) for i = 0..m.  pmf_vector, the library's one pmf, is built
+apart from that matrix (outward from the mode), so it is also an independent
 reference for those values.
 
 Everything here is pure and stateless: no learning, no I/O, no hidden RNG.
@@ -25,20 +27,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_count
 
 __all__ = [
     "TruncatedPoisson",
     "pmf_vector",
     "truncated_mean",
-    "truncated_means",
     "correct_ranking_probability",
+    "TRUNCATION_SWITCH_N",
+    "log_normalizer",
     "log_factorials",
     "log_partial_exp_sum",
     "log_partial_exp_sums",
     "partial_sum_log_terms",
 ]
 
+
+TRUNCATION_SWITCH_N = 12
 
 # Unused but bound: perfbench/tracer.py patches logsumexp here and in acquisition.
 logsumexp = np.logaddexp.reduce
@@ -86,37 +91,22 @@ def log_partial_exp_sum(rate, m: int):
     rates = np.asarray(rate, dtype=float)
     scalar = rates.ndim == 0
     rates = np.atleast_1d(rates)
-    if m < 0:
-        out = np.full(rates.shape, -np.inf)
-    else:
-        out = log_partial_exp_sums(partial_sum_log_terms(rates, m), 1)[0]
+    out = log_partial_exp_sums(partial_sum_log_terms(rates, max(m, 0)))[..., max(m + 1, 0)]
     return float(out[0]) if scalar else out
 
 
-def log_partial_exp_sums(terms: np.ndarray, count: int) -> list:
-    """[log S(m), ..., log S(m - count + 1)] from the term matrix of S(m).
+def log_partial_exp_sums(terms: np.ndarray) -> np.ndarray:
+    """[log S(-1), log S(0), ..., log S(m)] along the last axis, from S(m)'s terms.
 
-    The terms of S(m - i) are the first m + 1 - i columns of those of S(m).
-    S(j), j = max(m + 1 - max(count, 3), 0), is one sum of exp(terms - shift),
-    shifted by its largest term; log1p of (sum - 1), with the 1 taken from
-    column 0, is exact near 0.  Longer sums add one term each by logaddexp:
-    S(j)'s shift would overflow them (at rate 1e300 each term is e^690 times
-    the last).  log S(m) and log S(m - 1) have the same bits for every
-    count <= 3, so no value depends on whether its slope is asked for.
-    log S(-1) is -inf.
+    One running logaddexp over the term matrix, led by log S(-1) = -inf:
+    each sum adds one term to the one before, so no shift can overflow (at
+    rate 1e300 each term is e^690 times the last), and as logaddexp never
+    returns less than either argument, the sums never decrease.
     """
-    m = terms.shape[-1] - 1
-    j = max(m + 1 - max(count, 3), 0)
-    head = terms[..., :j + 1]
-    shift = head.max(axis=-1)
-    shifted = np.exp(head - shift[..., None])
-    sums = [shift + np.log1p(shifted[..., 1:].sum(axis=-1) + (shifted[..., 0] - 1.0))]
-    for i in range(j + 1, m + 1):
-        sums.append(np.logaddexp(sums[-1], terms[..., i]))
-    sums.reverse()
-    if count > m + 1:
-        sums += [np.full(shift.shape, -np.inf)] * (count - m - 1)
-    return sums[:count]
+    sums = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,))
+    sums[..., 0] = -np.inf
+    sums[..., 1:] = terms
+    return np.logaddexp.accumulate(sums, axis=-1)
 
 
 @lru_cache(maxsize=256)
@@ -150,7 +140,7 @@ class TruncatedPoisson:
     max_rank: int
 
     def __post_init__(self):
-        if not (isinstance(self.max_rank, (int, np.integer)) and self.max_rank >= 0):
+        if not is_count(self.max_rank, 0):
             raise DomainError(f"max_rank must be a nonnegative integer, got {self.max_rank!r}")
         if not (math.isfinite(self.rate) and self.rate >= 0):
             raise DomainError(f"rate must be finite and >= 0, got {self.rate!r}")
@@ -179,26 +169,37 @@ def pmf_vector(rate: float, max_rank: int) -> np.ndarray:
     return p / p.sum()
 
 
-def truncated_means(rates: np.ndarray, max_rank: int, slope: bool = False):
-    """(means, slopes) per rate from one term matrix; slopes None unless slope.
+def log_normalizer(rates: np.ndarray, n_obs: int, max_rank: int, order: int = 0) -> list:
+    """[log Z, d log Z / dr, d^2 log Z / dr^2][:order + 1] of the rank law per rate.
 
-    mean = rate * ratio with ratio = S(m-1) / S(m), m = max_rank, and, as
-    S'(m) = S(m-1), slope = ratio + rate * (S(m-2) / S(m) - ratio^2).
-    log S(-1) = -inf makes the mean 0 at max_rank 0, as rate 0 does; the log
-    ratio is clamped at 0, where rounding would lift the mean above the rate.
+    The law on {0..max_rank} has p_k = r^k / k! / Z.  Fewer than
+    TRUNCATION_SWITCH_N observations (n_obs) normalize it exactly, by
+    Z = S(max_rank); at or above the switch the plain Poisson law's Z = e^r
+    applies, whose derivatives are the scalars 1.0 and 0.0 (they broadcast
+    like arrays).  As S'(m) = S(m-1), the truncated derivatives are
+    S(m-1)/S(m) and S(m-2)/S(m) - (S(m-1)/S(m))^2, all read off one running
+    sum; the first lies in [0, 1], since the sums never decrease.  S(-2)
+    enters only at max_rank 0, where it is -inf like S(-1).
     """
-    log_s = log_partial_exp_sums(partial_sum_log_terms(rates, max_rank), 3 if slope else 2)
-    ratio = np.exp(np.minimum(log_s[1] - log_s[0], 0.0))
-    means = rates * ratio
-    if not slope:
-        return means, None
-    return means, ratio + rates * (np.exp(log_s[2] - log_s[0]) - ratio * ratio)
+    if n_obs >= TRUNCATION_SWITCH_N:
+        return [rates, 1.0, 0.0][:order + 1]
+    log_s = log_partial_exp_sums(partial_sum_log_terms(rates, max_rank))
+    out = [log_s[..., -1]]
+    if order >= 1:
+        out.append(np.exp(log_s[..., -2] - out[0]))
+    if order >= 2:
+        out.append(np.exp(log_s[..., max(max_rank - 1, 0)] - out[0]) - out[1] * out[1])
+    return out
 
 
 def truncated_mean(dist: TruncatedPoisson) -> float:
-    """Expectation of the truncated distribution: truncated_means at one rate."""
-    means, _ = truncated_means(np.array([dist.rate]), dist.max_rank)
-    return float(means[0])
+    """Expectation rate * d log Z / dr of the truncated law.
+
+    Zero observations lie below the switch at every max_rank, so this is
+    bitwise the mean that r-lcb uses below the switch.
+    """
+    slope = log_normalizer(np.array([dist.rate]), 0, dist.max_rank, 1)[1]
+    return float(dist.rate * slope[0])
 
 
 def correct_ranking_probability(gap: float, noise_sigma: float) -> float:
@@ -214,7 +215,7 @@ def correct_ranking_probability(gap: float, noise_sigma: float) -> float:
         noise_sigma: noise standard deviation, > 0.
 
     Returns:
-        Probability in (0, 1).
+        Probability in [0, 1]: far from a zero gap it rounds to exactly 0 or 1.
     """
     if not (math.isfinite(noise_sigma) and noise_sigma > 0):
         raise DomainError(f"noise_sigma must be finite and > 0, got {noise_sigma!r}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, is_count
 
 __all__ = ["ContinuousSpace", "DiscreteSpace"]
 
@@ -22,7 +22,7 @@ class ContinuousSpace:
     dim: int
 
     def __post_init__(self):
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
+        if not is_count(self.dim, 1):
             raise InputError(f"dim must be a positive integer, got {self.dim!r}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:

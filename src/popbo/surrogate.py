@@ -3,10 +3,9 @@
 The surrogate maps a normalized point x in [0,1]^d to a positive rate, the
 expected number of observed points that beat x.  Ranks of the observation set
 follow truncated Poisson laws parameterized by that rate; maximizing their
-joint log-likelihood trains the network.  Below TRUNCATION_SWITCH_N (12)
-observations the truncated normalizer S(N-1) is used; at or above it the plain
-Poisson form applies.  That constant is the one place the regime is decided,
-for the likelihood and the acquisition alike.
+joint log-likelihood trains the network.  poisson.log_normalizer gives each
+law's normalizer and decides the regime (truncated or plain Poisson) from the
+number of observations, for the likelihood and the acquisition alike.
 
 The network is fixed to three hidden rectified-linear layers (width 128) with
 a softplus output for positivity; widths are configurable only so tests can
@@ -23,15 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, PreconditionError, TrainingDivergedError
+from .errors import InputError, PreconditionError, TrainingDivergedError, is_count
 # Unused but bound: perfbench/tracer.py patches log_partial_exp_sum.
-from .poisson import (log_factorials, log_partial_exp_sum, log_partial_exp_sums,
-                      partial_sum_log_terms)
+from .poisson import log_factorials, log_normalizer, log_partial_exp_sum
 
 _LOG = logging.getLogger(__name__)
 
 __all__ = [
-    "TRUNCATION_SWITCH_N",
     "DEFAULT_HIDDEN",
     "IntensityModel",
     "ObservationSet",
@@ -44,7 +41,6 @@ __all__ = [
     "pack_arrays",
 ]
 
-TRUNCATION_SWITCH_N = 12
 DEFAULT_HIDDEN = (128, 128, 128)
 
 _ADAM_BETA1 = 0.9
@@ -55,12 +51,6 @@ _LR_DECAY = 0.2
 # layout"), flushing ADAM's decaying moments once every _FLUSH_EVERY steps.
 _TRAIN_DTYPE = np.float32
 _FLUSH_EVERY = 100
-
-
-def is_count(value, minimum: int) -> bool:
-    """Whether value is an integer (a Python or numpy int, not a bool) >= minimum."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= minimum)
 
 
 def compute_ranks(values) -> np.ndarray:
@@ -210,8 +200,9 @@ class IntensityModel:
     @classmethod
     def create(cls, dim: int, hidden=DEFAULT_HIDDEN, rng_seed: int = 0) -> "IntensityModel":
         """Fresh network with uniform fan-in-scaled weights and zero biases."""
-        if dim < 1:
-            raise InputError(f"dim must be >= 1, got {dim}")
+        if not (is_count(dim, 1) and all(is_count(width, 1) for width in hidden)):
+            raise InputError(f"dim and hidden widths must be integers >= 1, got {dim!r}, "
+                             f"{hidden!r}")
         rng = np.random.default_rng(rng_seed)
         sizes = [int(dim), *[int(h) for h in hidden], 1]
         weights, biases = [], []
@@ -332,29 +323,16 @@ def _ll_terms(rates: np.ndarray, ranks: np.ndarray, norm: np.ndarray) -> np.ndar
     return k_term - lf[ranks] - norm
 
 
-def _normalizer(rates: np.ndarray, n_obs: int, slope: bool = False):
-    """Per-point log-normalizer and its derivative with respect to the rate.
-
-    Below the switch these are log S(N-1) and S(N-2)/S(N-1), from one term
-    matrix; at or above it the plain Poisson exponent (the rate itself) and
-    the scalar 1.0, which broadcasts like an array of ones.  The derivative
-    is None unless slope.
-    """
-    if n_obs >= TRUNCATION_SWITCH_N:
-        return rates, 1.0 if slope else None
-    log_s = log_partial_exp_sums(partial_sum_log_terms(rates, n_obs - 1), 2 if slope else 1)
-    return log_s[0], np.exp(log_s[1] - log_s[0]) if slope else None
-
-
 def rate_gradient(rates: np.ndarray, ranks: np.ndarray, n_obs: int) -> np.ndarray:
     """Per-point derivative of the log-likelihood with respect to each rate.
 
-    Equals k/rate - S(N-2)/S(N-1) below the switch and k/rate - 1 above it.
-    A 0 rate gives a non-finite derivative, without a warning.
+    Equals k/rate - d log Z/dr of the law on {0..N-1}: S(N-2)/S(N-1) below
+    the switch, 1 at or above it.  A 0 rate gives a non-finite derivative,
+    without a warning.
     """
     rates = np.asarray(rates, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.asarray(ranks) / rates - _normalizer(rates, n_obs, slope=True)[1]
+        return np.asarray(ranks) / rates - log_normalizer(rates, n_obs, n_obs - 1, 1)[1]
 
 
 def _require_fittable(obs: ObservationSet):
@@ -370,7 +348,8 @@ def log_likelihood(model: IntensityModel, obs: ObservationSet) -> float:
     """
     _require_fittable(obs)
     rates = model.rates(obs.points)
-    return float(np.sum(_ll_terms(rates, obs.ranks, _normalizer(rates, len(obs))[0])))
+    log_z = log_normalizer(rates, len(obs), len(obs) - 1)[0]
+    return float(np.sum(_ll_terms(rates, obs.ranks, log_z)))
 
 
 def grad_log_likelihood(model: IntensityModel, obs: ObservationSet):

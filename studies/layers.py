@@ -4,14 +4,17 @@ Times each piece a BO step spends its time in, at the two sizes of the
 benchmark workloads: (N, d) = (35, 6), the largest `hartmann6-eri` step
 (continuous ERI), and (11, 4), the largest `grid4-table` step (R-LCB on an
 8^4-row table).  The pieces are the fit's forward and backward passes over
-a full batch, one ADAM step, `_ll_terms`, `log_partial_exp_sums`,
+a full batch, one ADAM step, `_ll_terms`, the rank law's normalizer and
+its slope as `rate_gradient` asks for them (`poisson.log_normalizer` at
+(N, N - 1), or `surrogate._normalizer` in checkouts from before it),
 `objective_and_drate` on one rate, one `_descend` (from the observed point
 of lowest rate), `propose_next` and `compute_ranks`; at (35, 6) one
 `rate_and_input_grad` call, beside a one-row `model.rates` call at the
 same point (the descent makes one of the first per accepted iterate); and
 at (11, 4) one `model.rates` call on the discrete proposer's batch of
 sampled rows, with its minor page faults per call (from
-`resource.getrusage`, where the platform has it).  Each time is the
+`resource.getrusage`, where the platform has it), and the R-LCB values
+of that batch's rates, below the truncation switch.  Each time is the
 minimum and the median, in microseconds, over repeats of a timed loop; the
 number of `model.rates` calls that one `_descend` and one `propose_next`
 make is counted beside them (the line search scores its trials in
@@ -130,6 +133,13 @@ def descent(acquisition, model, x0, cfg, n: int, threshold: float):
     return lambda: acquisition._descend(model, x0, float(values[0]), cfg, n, threshold)
 
 
+def normalizer(poisson, surrogate, rates, n: int):
+    """The fit's normalizer call (value and slope) as a thunk, for this checkout."""
+    if hasattr(poisson, "log_normalizer"):
+        return lambda: poisson.log_normalizer(rates, n, n - 1, 1)
+    return lambda: surrogate._normalizer(rates, n, slope=True)
+
+
 def rates_calls(model, fn) -> int:
     """Number of `model.rates` calls made by one call of fn."""
     calls = 0
@@ -164,8 +174,8 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
     adam = surrogate._Adam(params.copy(), model.adam_state)
     grad_w, grad_b = model._views(adam.grad)
     backward(caches, d_rates, grad_w, grad_b)
-    norm = surrogate._normalizer(rates, n)[0]
-    terms = poisson.partial_sum_log_terms(rates, n - 1)
+    norm_and_slope = normalizer(poisson, surrogate, rates, n)
+    norm = norm_and_slope()[0]
 
     if dim == 6:
         cfg = acquisition.AcquisitionConfig(kind="eri", rng_seed=1)
@@ -196,7 +206,7 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
         "backward": timed(lambda: backward(caches, d_rates, grad_w, grad_b), smoke),
         "adam_step": timed(adam_step, smoke),
         "_ll_terms": timed(lambda: surrogate._ll_terms(rates, obs.ranks, norm), smoke),
-        "log_partial_exp_sums": timed(lambda: poisson.log_partial_exp_sums(terms, 2), smoke),
+        "normalizer_and_slope": timed(norm_and_slope, smoke),
         "objective_and_drate": timed(
             lambda: acquisition.objective_and_drate(one_rate, n, cfg), smoke),
         "_descend": timed(descend, smoke),
@@ -213,6 +223,9 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
             "rows": len(rows),
             "minor_faults_per_call": minor_faults(lambda: model.rates(rows), smoke),
         }
+        batch_rates = model.rates(rows)
+        report["objective_discrete_batch"] = timed(
+            lambda: acquisition.objective_and_drate(batch_rates, n, cfg, drate=False), smoke)
     else:
         report["rate_and_input_grad"] = timed(lambda: model.rate_and_input_grad(x0), smoke)
         report["rates_one_row"] = timed(lambda: model.rates(x0[None, :]), smoke)

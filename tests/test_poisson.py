@@ -11,15 +11,16 @@ from scipy.stats import poisson as scipy_poisson
 
 from popbo.errors import DomainError
 from popbo.poisson import (
+    TRUNCATION_SWITCH_N,
     TruncatedPoisson,
     correct_ranking_probability,
     log_factorials,
+    log_normalizer,
     log_partial_exp_sum,
     log_partial_exp_sums,
     partial_sum_log_terms,
     pmf_vector,
     truncated_mean,
-    truncated_means,
 )
 
 
@@ -51,41 +52,32 @@ class TestLogHelpers:
         np.testing.assert_array_equal(log_factorials(4), table[:5])
 
     def test_prefix_sums_match_single_sums(self):
-        # Each prefix is summed from its own cut, so agreement is to rounding.
+        # The running sums of S(m)'s terms are, bitwise, those of every
+        # longer matrix, and each single sum reads its column.
         rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
+        longest = log_partial_exp_sums(partial_sum_log_terms(rates, 14))
         for m in range(0, 14):
-            terms = partial_sum_log_terms(rates, m)
-            sums = log_partial_exp_sums(terms, m + 2)
-            assert len(sums) == m + 2
-            for i, log_s in enumerate(sums):  # down to S(-1), which is -inf
-                np.testing.assert_allclose(log_s, log_partial_exp_sum(rates, m - i),
-                                           rtol=1e-15, atol=0.0)
+            sums = log_partial_exp_sums(partial_sum_log_terms(rates, m))
+            assert sums.shape == (rates.size, m + 2)
+            np.testing.assert_array_equal(sums, longest[:, :m + 2])
+            for j in range(m + 2):  # from S(-1), which is -inf
+                np.testing.assert_array_equal(sums[:, j], log_partial_exp_sum(rates, j - 1))
 
     def test_prefix_sums_match_logsumexp_over_all_scales(self):
         # rate 0 and 1e-300 .. 1e300: a single shift by the largest term
-        # overflows at huge rates (log S(31) = -inf at rate 1e300, m = 33).
+        # would overflow at huge rates (at rate 1e300 each term is e^690
+        # times the last).  The running sums never decrease.
         rates = np.concatenate([[0.0], np.logspace(-300, 300, 601), [0.3, 4.5, 1e4]])
         for m in range(0, 41):
             terms = partial_sum_log_terms(rates, m)
-            for count in (1, 2, 3, m + 2):
-                sums = log_partial_exp_sums(terms, count)
-                assert len(sums) == count
-                for i, log_s in enumerate(sums):
-                    if i > m:
-                        assert (log_s == -np.inf).all()
-                        continue
-                    ref = scipy_logsumexp(terms[:, :m + 1 - i], axis=-1)
-                    assert np.isfinite(log_s).all()
-                    np.testing.assert_allclose(log_s, ref, rtol=1e-14, atol=0.0)
-
-    def test_first_two_sums_do_not_depend_on_count(self):
-        # A value (count 1 or 2) and its slope (count 3) share log S(m), log S(m-1).
-        rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
-        for m in range(0, 14):
-            terms = partial_sum_log_terms(rates, m)
-            one, two, three = (log_partial_exp_sums(terms, c) for c in (1, 2, 3))
-            np.testing.assert_array_equal(one[0], three[0])
-            np.testing.assert_array_equal(two[1], three[1])
+            sums = log_partial_exp_sums(terms)
+            assert sums.shape == (rates.size, m + 2)
+            assert (sums[:, 0] == -np.inf).all()
+            assert (np.diff(sums, axis=-1) >= 0.0).all()
+            for j in range(m + 1):
+                ref = scipy_logsumexp(terms[:, :j + 1], axis=-1)
+                assert np.isfinite(sums[:, j + 1]).all()
+                np.testing.assert_allclose(sums[:, j + 1], ref, rtol=1e-14, atol=0.0)
 
     def test_partial_sum_matches_direct(self):
         for rate in (0.3, 1.0, 4.5):
@@ -164,7 +156,8 @@ class TestMoments:
         assert abs(truncated_mean(TruncatedPoisson(rate, max_rank)) - expected) <= 1e-10
 
     def test_mean_not_rounded_above_rate(self):
-        # Far below max_rank, log S(m-1) rounds above log S(m) unless clamped.
+        # Far below max_rank, log S(m) adds a term far below log S(m-1); the
+        # running sum never decreases, so the mean cannot round above the rate.
         assert truncated_mean(TruncatedPoisson(6.0, 39)) <= 6.0
 
     def test_mean_below_rate(self):
@@ -195,8 +188,10 @@ class TestPmfProperties:
     @settings(max_examples=300, deadline=None)
     @given(RATE, MAX_RANK)
     def test_scalar_entries_are_vector_entries(self, rate, max_rank):
-        means, _ = truncated_means(np.array([rate]), max_rank)
-        assert truncated_mean(TruncatedPoisson(rate, max_rank)) == means[0]
+        # truncated_mean is bitwise the r-lcb mean rate * d log Z / dr below the switch.
+        n_obs = min(max_rank, TRUNCATION_SWITCH_N - 1)
+        slope = log_normalizer(np.array([rate]), n_obs, max_rank, 1)[1]
+        assert truncated_mean(TruncatedPoisson(rate, max_rank)) == rate * slope[0]
 
 
 class TestPmfFarSupport:

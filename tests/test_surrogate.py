@@ -12,17 +12,15 @@ from scipy.special import expit as scipy_expit
 
 from popbo.acquisition import lcb
 from popbo.errors import InputError, PreconditionError, TrainingDivergedError
-from popbo import poisson as popbo_poisson
-from popbo.poisson import log_partial_exp_sum, pmf_vector
+from popbo.poisson import (TRUNCATION_SWITCH_N, log_normalizer, log_partial_exp_sum,
+                          log_partial_exp_sums, partial_sum_log_terms, pmf_vector)
 from popbo.surrogate import (
     DEFAULT_HIDDEN,
-    TRUNCATION_SWITCH_N,
     IntensityModel,
     ObservationSet,
     TrainConfig,
     _Adam,
     _ll_terms,
-    _normalizer,
     compute_ranks,
     fit,
     grad_log_likelihood,
@@ -292,24 +290,14 @@ class TestLogLikelihood:
         expected = sum(-lf[k] - 1.0 for k in range(12))  # k*log(1) = 0
         assert math.isclose(log_likelihood(model, obs), expected, rel_tol=1e-12)
 
-    def test_truncated_value_needs_no_logsumexp(self, monkeypatch):
-        # The normalizer is one shifted sum; its value has the fit's bits.
+    def test_truncated_value_uses_the_running_sum(self):
+        # The normalizer is log S(N-1) from one running sum; its value has the fit's bits.
         model = IntensityModel.create(2, hidden=(8,), rng_seed=2)
         obs = random_obs(np.random.default_rng(33), 7, 2)
         rates = model.rates(obs.points)
-        norm, _ = _normalizer(rates, len(obs), slope=True)
-        expected = float(np.sum(_ll_terms(rates, obs.ranks, norm)))
-        calls = []
-        original = popbo_poisson.logsumexp
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(popbo_poisson, "logsumexp", counted)
-        value = log_likelihood(model, obs)
-        assert calls == []
-        assert repr(value) == repr(expected)
+        log_z = log_partial_exp_sums(partial_sum_log_terms(rates, len(obs) - 1))[:, -1]
+        expected = float(np.sum(_ll_terms(rates, obs.ranks, log_z)))
+        assert repr(log_likelihood(model, obs)) == repr(expected)
 
     def test_rate_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(32)
@@ -404,22 +392,34 @@ class TestSoftplusSlope:
 class TestNormalizer:
     def test_truncated_normalizer_matches_single_sums(self):
         # Below the switch: log S(N-1), bitwise the single partial sum, and
-        # S(N-2)/S(N-1) from the same term matrix, to rounding.
+        # S(N-2)/S(N-1) and S(N-3)/S(N-1) - (S(N-2)/S(N-1))^2 from the same
+        # running sum, to rounding.  Asking for a derivative leaves log Z's bits.
         rates = np.array([0.0, 1e-9, 0.3, 1.0, 4.5, 37.0, 1e4])
         for n_obs in range(2, TRUNCATION_SWITCH_N):
-            norm, norm_grad = _normalizer(rates, n_obs, slope=True)
+            norm, norm_grad, norm_curv = log_normalizer(rates, n_obs, n_obs - 1, 2)
             log_s = log_partial_exp_sum(rates, n_obs - 1)
             np.testing.assert_array_equal(norm, log_s)
+            ratio = np.exp(log_partial_exp_sum(rates, n_obs - 2) - log_s)
+            np.testing.assert_allclose(norm_grad, ratio, rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(
-                norm_grad, np.exp(log_partial_exp_sum(rates, n_obs - 2) - log_s),
-                rtol=1e-15, atol=0.0)
-            norm_only, no_grad = _normalizer(rates, n_obs)
-            np.testing.assert_array_equal(norm_only, log_s)
-            assert no_grad is None
-        norm, norm_grad = _normalizer(rates, TRUNCATION_SWITCH_N, slope=True)
+                norm_curv, np.exp(log_partial_exp_sum(rates, n_obs - 3) - log_s) - ratio ** 2,
+                rtol=1e-15, atol=1e-300)
+            assert (norm_grad <= 1.0).all()
+            for order in (0, 1):
+                out = log_normalizer(rates, n_obs, n_obs - 1, order)
+                assert len(out) == order + 1
+                np.testing.assert_array_equal(out[0], log_s)
+        norm, norm_grad, norm_curv = log_normalizer(rates, TRUNCATION_SWITCH_N,
+                                                    TRUNCATION_SWITCH_N - 1, 2)
         np.testing.assert_array_equal(norm, rates)
-        np.testing.assert_array_equal(norm_grad, np.ones_like(rates))
-        assert _normalizer(rates, TRUNCATION_SWITCH_N)[1] is None
+        assert (norm_grad, norm_curv) == (1.0, 0.0)
+        assert len(log_normalizer(rates, TRUNCATION_SWITCH_N, TRUNCATION_SWITCH_N - 1)) == 1
+
+    def test_max_rank_zero_is_a_constant_law(self):
+        # All mass on rank 0: log Z = 0 and both derivatives vanish.
+        rates = np.array([0.0, 0.3, 1e4])
+        for value in log_normalizer(rates, 1, 0, 2):
+            np.testing.assert_array_equal(value, np.zeros(3))
 
     @pytest.mark.parametrize("n_obs", [TRUNCATION_SWITCH_N, 50])
     def test_huge_bias_law_is_plain_poisson(self, n_obs):
@@ -430,7 +430,7 @@ class TestNormalizer:
         # unit mass.
         rates = constant_rate_model(1, 1e4).rates(np.array([[0.5]]))
         assert rates[0] == 1e4
-        norm, norm_grad = _normalizer(rates, n_obs, slope=True)
+        norm, norm_grad = log_normalizer(rates, n_obs, n_obs - 1, 1)
         np.testing.assert_array_equal(norm, rates)
         assert norm_grad == 1.0
         assert lcb(1e4, n_obs, beta=0.0) == 1e4
