@@ -4,7 +4,6 @@ from .acquisition import AcquisitionConfig, eri, grad_acquisition, lcb, propose_
 from .benchmarks import (
     BenchmarkFunction,
     TabularBenchmark,
-    forrester_ranking_study,
     get_benchmark,
 )
 from .engine import BoRunConfig, RegretTrace, TraceRecord, incumbent, run

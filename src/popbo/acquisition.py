@@ -11,12 +11,12 @@ Two acquisitions are defined on a candidate's predicted rate:
 objective_and_drate is the one implementation of both and of their rate
 derivatives.  Both are rectified: wherever the predicted rate reaches
 q * n_obs the acquisition value is replaced by a uniform draw eps in [0, 1],
-and descent iterates entering that region are frozen in place.  The
-continuous-space proposer is a multistart projected L-BFGS on the unit cube;
-discrete spaces take an argmin over uniformly sampled candidates.  The
-proposer calls the model twice over: `rates` on batches of points (all
-restart starts at once, each Armijo block at once) and `rate_and_input_grad`
-once per accepted iterate.
+and descent iterates entering that region are frozen in place.  One
+proposer scores a batch of starts (uniform points, or sampled table rows)
+and takes the argmin, after a projected L-BFGS descent from each live start
+on continuous spaces only.  It calls the model twice over: `rates` on
+batches of points (all starts at once, each Armijo block at once) and
+`rate_and_input_grad` once per accepted iterate.
 """
 
 from __future__ import annotations
@@ -280,51 +280,48 @@ def _descend(model: IntensityModel, x: np.ndarray, f: float, cfg: AcquisitionCon
     return x, f, False
 
 
-def _propose_continuous(model: IntensityModel, dim: int, obs_n: int,
-                        cfg: AcquisitionConfig) -> np.ndarray:
-    threshold = cfg.q * obs_n
-    # Substream per restart: serial and parallel schedules agree bitwise.
-    subs = [np.random.default_rng([cfg.rng_seed, i]) for i in range(_RESTARTS)]
-    finals = np.array([sub.uniform(size=dim) for sub in subs])
-    values = np.array([sub.uniform() for sub in subs])
-    # One call scores every start; rectified starts keep their eps draw.
-    start_values, rates = _objective_rows(model, finals, cfg, obs_n)
-    for i in np.flatnonzero(rates < threshold):
-        finals[i], val, frozen = _descend(model, finals[i].copy(), float(start_values[i]),
-                                          cfg, obs_n, threshold)
-        if not frozen:
-            values[i] = val
-    return finals[int(np.argmin(values))].copy()
+def _propose(model: IntensityModel, starts: np.ndarray, eps: np.ndarray, n_obs: int,
+             cfg: AcquisitionConfig, descend: bool) -> np.ndarray:
+    """The start (descended in place, if descend) of least rectified value.
 
-
-def _propose_discrete(model: IntensityModel, space: DiscreteSpace, obs_n: int,
-                      cfg: AcquisitionConfig) -> np.ndarray:
-    threshold = cfg.q * obs_n
-    rng = np.random.default_rng(cfg.rng_seed)
-    idx = rng.integers(0, space.n_candidates, size=_DISCRETE_SAMPLES)
-    eps = rng.uniform(size=_DISCRETE_SAMPLES)
-    pts = space.candidates[idx]
-    raw, rates = _objective_rows(model, pts, cfg, obs_n)
-    vals = np.where(rates < threshold, raw, eps)
-    return pts[int(np.argmin(vals))].copy()
+    One `rates` call scores every start.  A start whose rate reaches q * n_obs,
+    or whose descent freezes, takes its eps draw as value.
+    """
+    threshold = cfg.q * n_obs
+    values, rates = _objective_rows(model, starts, cfg, n_obs)
+    live = rates < threshold
+    values = np.where(live, values, eps)
+    if descend:
+        for i in np.flatnonzero(live):
+            starts[i], val, frozen = _descend(model, starts[i].copy(), float(values[i]), cfg,
+                                              n_obs, threshold)
+            values[i] = eps[i] if frozen else val
+    return starts[int(np.argmin(values))].copy()
 
 
 def propose_next(model: IntensityModel, space, obs: ObservationSet,
                  cfg: AcquisitionConfig) -> np.ndarray:
     """Next query point minimizing the (rectified) acquisition objective.
 
-    Continuous spaces run _RESTARTS independent descents from uniform
-    starts; rectified descents contribute their frozen location with their
-    eps draw as value.  Discrete spaces take the argmin over
-    _DISCRETE_SAMPLES uniformly drawn candidates.  Ties (all rectified
-    with equal eps) fall to the lowest restart/candidate index.  eri with
-    k_max > len(obs) raises DomainError.
+    Both spaces take _propose, which descends on continuous spaces only.
+    The starts are _RESTARTS uniform points, each with its eps from its own
+    substream, or _DISCRETE_SAMPLES candidates drawn with replacement and
+    then their eps, from one stream.  Ties (all rectified with equal eps)
+    fall to the lowest start.  eri with k_max > len(obs) raises DomainError.
     """
     n_obs = len(obs)
     if n_obs < 1:
         raise PreconditionError("need at least one observation")
-    if isinstance(space, DiscreteSpace):
-        return _propose_discrete(model, space, n_obs, cfg)
-    if isinstance(space, ContinuousSpace):
-        return _propose_continuous(model, space.dim, n_obs, cfg)
-    raise DomainError(f"unsupported search space {type(space).__name__}")
+    descend = isinstance(space, ContinuousSpace)
+    if descend:
+        # Substream per restart: serial and parallel schedules agree bitwise.
+        subs = [np.random.default_rng([cfg.rng_seed, i]) for i in range(_RESTARTS)]
+        starts = np.array([sub.uniform(size=space.dim) for sub in subs])
+        eps = np.array([sub.uniform() for sub in subs])
+    elif isinstance(space, DiscreteSpace):
+        rng = np.random.default_rng(cfg.rng_seed)
+        starts = space.candidates[rng.integers(0, space.n_candidates, size=_DISCRETE_SAMPLES)]
+        eps = rng.uniform(size=_DISCRETE_SAMPLES)
+    else:
+        raise DomainError(f"unsupported search space {type(space).__name__}")
+    return _propose(model, starts, eps, n_obs, cfg, descend)

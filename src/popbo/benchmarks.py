@@ -19,20 +19,11 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .space import ContinuousSpace, DiscreteSpace
-from .surrogate import (
-    DEFAULT_HIDDEN,
-    IntensityModel,
-    ObservationSet,
-    TrainConfig,
-    compute_ranks,
-    fit,
-)
 
 __all__ = [
     "BenchmarkFunction",
     "TabularBenchmark",
     "get_benchmark",
-    "forrester_ranking_study",
     "BENCHMARK_NAMES",
     "forrester",
     "branin",
@@ -275,64 +266,3 @@ class TabularBenchmark:
         except KeyError:
             raise DomainError(f"configuration {key} is not in the table") from None
 
-
-# The in-loop ADAM schedule assumes a warm-started model refit every
-# iteration; a one-shot ranking study needs an actually converged fit.
-STUDY_TRAIN_CONFIG = TrainConfig(steps=2000, initial_lr=0.05, decay_every=700)
-
-
-def _average_ranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties given their mean rank, as scipy's rankdata."""
-    s = np.sort(v)
-    return (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1) / 2
-
-
-def _spearman(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rank correlation: Pearson correlation of the average ranks.
-
-    The [1, 0] entry is the one scipy.stats.spearmanr reports; with the same
-    ranks it is the same arithmetic.
-    """
-    return float(np.corrcoef(_average_ranks(a), _average_ranks(b))[1, 0])
-
-
-def forrester_ranking_study(n_train: int = 15, n_grid: int = 100,
-                            sigmas=(0.0, 0.15, 0.3, 0.45), seed: int = 0,
-                            train_cfg: TrainConfig | None = None,
-                            hidden=DEFAULT_HIDDEN) -> dict:
-    """Rank-correlation of the surrogate's predictions on a noiseless grid.
-
-    For each noise level the surrogate trains on n_train noisy observations
-    of the 1-d objective, predicts rates on n_grid evenly spaced grid points,
-    and is scored by Spearman correlation against the true (noiseless) grid
-    ranking.  Noise perturbs the training observations only; the grid is
-    ground truth.  A constant prediction scores 0 (no ordering information).
-
-    Returns:
-        dict mapping each sigma to its Spearman correlation.
-    """
-    bench = get_benchmark("forrester")
-    cfg = train_cfg if train_cfg is not None else STUDY_TRAIN_CONFIG
-    grid = np.linspace(0.0, 1.0, n_grid)[:, None]
-    truth = np.array([bench.fn(bench.denormalize(g)) for g in grid])
-    true_ranks = compute_ranks(truth)
-
-    report = {}
-    for i, sigma in enumerate(sigmas):
-        if sigma < 0:
-            raise DomainError(f"sigma must be >= 0, got {sigma!r}")
-        rng = np.random.default_rng([seed, i])
-        x_train = rng.uniform(size=(n_train, 1))
-        y_train = np.array([bench.fn(bench.denormalize(x)) for x in x_train])
-        if sigma > 0:
-            y_train = y_train + rng.normal(0.0, sigma, size=n_train)
-        obs = ObservationSet.from_values(x_train, y_train)
-        model = IntensityModel.create(1, hidden, rng_seed=int(rng.integers(2 ** 63)))
-        fit(model, obs, cfg, rng=np.random.default_rng(int(rng.integers(2 ** 63))))
-        preds = model.rates(grid)
-        if np.ptp(preds) == 0.0:
-            rho = 0.0
-        else:
-            rho = _spearman(preds, true_ranks)
-        report[float(sigma)] = rho
-    return report

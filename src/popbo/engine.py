@@ -224,12 +224,21 @@ def random_search_baseline(objective, budget: int, seed: int,
     is one more uniform draw.
 
     Raises:
+        InputError: budget, seed or n_init is not an integer, or seed < 0 or
+            n_init < 1; nothing is evaluated.
+        PreconditionError: budget < 1.
         EvaluationFailedError: an evaluation raised or returned a non-finite
             value; the error carries the trace observed so far.
     """
+    if not is_count(budget, -math.inf):
+        raise InputError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise PreconditionError(f"budget must be >= 1, got {budget}")
-    block = budget if n_init is None else max(1, min(int(n_init), budget))
+    if not is_count(seed, 0):
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
+    if not (n_init is None or is_count(n_init, 1)):
+        raise InputError(f"n_init must be an integer >= 1, got {n_init!r}")
+    block = budget if n_init is None else min(n_init, budget)
     space = objective.space
     return _loop(objective, seed, block, budget - block,
                  lambda rng, points, values: (space.sample(rng, 1)[0], 0.0, 0.0))

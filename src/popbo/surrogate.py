@@ -251,11 +251,12 @@ class IntensityModel:
             h += b
             np.maximum(h, 0.0, out=h)
         z = (h @ weights[-1] + biases[-1])[:, 0].astype(float)
-        rates = np.logaddexp(0.0, z)
         if not keep:
-            return rates, None
-        # exp(-z) overflows to inf only where the slope rounds to 0.
-        with np.errstate(over="ignore"):
+            return np.logaddexp(0.0, z), None
+        # exp(-z) overflows to inf only where the slope rounds to 0; a NaN z
+        # (NaN parameters) gives NaN, which fit reports as divergence.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = np.logaddexp(0.0, z)
             slope = 1.0 / (1.0 + np.exp(-z))
         return rates, (inputs, pre_acts, slope)
 
@@ -406,7 +407,8 @@ def fit(model: IntensityModel, obs: ObservationSet, cfg: TrainConfig,
     n = len(obs)
     batch = min(cfg.batch_size, n)
 
-    nll_start = -log_likelihood(model, obs)
+    with np.errstate(invalid="ignore"):  # NaN parameters fail the step-0 check
+        nll_start = -log_likelihood(model, obs)
     # This fit's float32 arrays are allocated together, after the carried
     # moments, so once freed they leave one contiguous hole for the proposal.
     adam = _Adam(model.params.astype(_TRAIN_DTYPE), model.adam_state)

@@ -17,7 +17,6 @@ from popbo.acquisition import AcquisitionConfig, eri, grad_acquisition, propose_
 from popbo.benchmarks import (
     BenchmarkFunction,
     branin,
-    forrester_ranking_study,
     get_benchmark,
     hartmann6,
 )
@@ -34,6 +33,7 @@ from popbo.surrogate import (
     grad_log_likelihood,
     log_likelihood,
 )
+from ranking import forrester_ranking_study
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

@@ -627,6 +627,15 @@ class TestBlockedLineSearch:
         assert recording.grad_calls == 0
         np.testing.assert_array_equal(x, propose_next(constant_rate_model(2, 3.0),
                                                       ContinuousSpace(2), obs, cfg))
+        # Tables take the same path and never descend, even from live candidates.
+        recording = RecordingModel(IntensityModel.create(2, hidden=(8,), rng_seed=3))
+        cands = np.random.default_rng(73).uniform(size=(25, 2))
+        cfg = AcquisitionConfig(kind="r-lcb", q=1.0, rng_seed=3)
+        x = propose_next(recording, DiscreteSpace(cands), obs, cfg)
+        assert [b.shape for b in recording.batches] == [(acquisition._DISCRETE_SAMPLES, 2)]
+        assert (recording.model.rates(recording.batches[0]) < cfg.q * len(obs)).any()
+        assert recording.grad_calls == 0
+        assert any(np.array_equal(x, c) for c in cands)
 
 
 class TestProposeDiscrete:

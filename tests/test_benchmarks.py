@@ -12,17 +12,15 @@ from popbo.benchmarks import (
     FORRESTER_MIN,
     HARTMANN6_MIN,
     TabularBenchmark,
-    _average_ranks,
-    _spearman,
     branin,
     forrester,
-    forrester_ranking_study,
     get_benchmark,
     hartmann6,
     rosenbrock,
 )
 from popbo.errors import DomainError, InputError
 from popbo.surrogate import TrainConfig
+from ranking import _average_ranks, _spearman, forrester_ranking_study
 
 
 class TestClosedForms:

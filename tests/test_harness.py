@@ -119,6 +119,22 @@ class TestRandomSearchBaseline:
         with pytest.raises(PreconditionError):
             random_search_baseline(get_benchmark("branin"), budget=0, seed=0)
 
+    @pytest.mark.parametrize("setting, value", [("budget", 5.0), ("seed", 1.5), ("seed", -1),
+                                                ("n_init", 2.5), ("n_init", 0)])
+    def test_bad_counts_rejected_before_any_evaluation(self, setting, value):
+        calls = []
+
+        class Counting:
+            name, space, optimum, trace_point = "counting", BRANIN.space, None, BRANIN.trace_point
+
+            def evaluate(self, x, rng=None):
+                calls.append(x)
+                return BRANIN.evaluate(x, rng)
+
+        with pytest.raises(InputError):
+            random_search_baseline(Counting(), **{"budget": 5, "seed": 0, setting: value})
+        assert calls == []
+
     def test_deterministic(self):
         bench = get_benchmark("branin", noise_sigma=0.2)
         a = random_search_baseline(bench, budget=10, seed=3, n_init=4)

@@ -382,8 +382,7 @@ class TestSoftplusSlope:
                 assert slope_model(t).rate_and_input_grad([0.0, 0.0])[1][1] == expected, t
 
     def test_nan_gives_nan(self):
-        # Only the softplus flags NaN as invalid; the slope itself raises nothing.
-        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isnan(backward_slope(math.nan))
             assert math.isnan(slope_model(math.nan).rate_and_input_grad([0.0, 0.0])[1][1])
@@ -513,6 +512,16 @@ class TestFit:
         obs = ObservationSet.from_values([[0.1], [0.9]], [1.0, 2.0])
         with pytest.raises(TrainingDivergedError) as info:
             fit(model, obs, TrainConfig(steps=10), rng=np.random.default_rng(0))
+        assert info.value.step == 0
+
+    def test_nan_parameters_raise_the_typed_error_not_a_warning(self):
+        model = IntensityModel.create(2, hidden=(8,), rng_seed=0)
+        model.params[...] = np.nan
+        obs = random_obs(np.random.default_rng(44), 8, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError) as info:
+                fit(model, obs, TrainConfig(steps=5))
         assert info.value.step == 0
 
     # Rate 0 at the rank-0 point x = 0 and 1e6 at x = 1: the loss is finite,
