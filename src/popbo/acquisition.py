@@ -280,40 +280,23 @@ def _descend(model: IntensityModel, x: np.ndarray, f: float, cfg: AcquisitionCon
     return x, f, False
 
 
-def _propose(model: IntensityModel, starts: np.ndarray, eps: np.ndarray, n_obs: int,
-             cfg: AcquisitionConfig, descend: bool) -> np.ndarray:
-    """The start (descended in place, if descend) of least rectified value.
-
-    One `rates` call scores every start.  A start whose rate reaches q * n_obs,
-    or whose descent freezes, takes its eps draw as value.
-    """
-    threshold = cfg.q * n_obs
-    values, rates = _objective_rows(model, starts, cfg, n_obs)
-    live = rates < threshold
-    values = np.where(live, values, eps)
-    if descend:
-        for i in np.flatnonzero(live):
-            starts[i], val, frozen = _descend(model, starts[i].copy(), float(values[i]), cfg,
-                                              n_obs, threshold)
-            values[i] = eps[i] if frozen else val
-    return starts[int(np.argmin(values))].copy()
-
-
 def propose_next(model: IntensityModel, space, obs: ObservationSet,
                  cfg: AcquisitionConfig) -> np.ndarray:
     """Next query point minimizing the (rectified) acquisition objective.
 
-    Both spaces take _propose, which descends on continuous spaces only.
-    The starts are _RESTARTS uniform points, each with its eps from its own
-    substream, or _DISCRETE_SAMPLES candidates drawn with replacement and
-    then their eps, from one stream.  Ties (all rectified with equal eps)
-    fall to the lowest start.  eri with k_max > len(obs) raises DomainError.
+    One path serves both spaces.  The starts are _RESTARTS uniform points,
+    each with its eps from its own substream, or _DISCRETE_SAMPLES candidates
+    drawn with replacement and then their eps, from one stream.  One `rates`
+    call scores every start; a start whose rate reaches q * n_obs takes its
+    eps draw as value.  On continuous spaces each live start is then
+    descended in place, and one whose descent freezes also takes its eps.
+    The argmin wins; ties (all rectified with equal eps) fall to the lowest
+    start.  eri with k_max > len(obs) raises DomainError.
     """
     n_obs = len(obs)
     if n_obs < 1:
         raise PreconditionError("need at least one observation")
-    descend = isinstance(space, ContinuousSpace)
-    if descend:
+    if isinstance(space, ContinuousSpace):
         # Substream per restart: serial and parallel schedules agree bitwise.
         subs = [np.random.default_rng([cfg.rng_seed, i]) for i in range(_RESTARTS)]
         starts = np.array([sub.uniform(size=space.dim) for sub in subs])
@@ -324,4 +307,13 @@ def propose_next(model: IntensityModel, space, obs: ObservationSet,
         eps = rng.uniform(size=_DISCRETE_SAMPLES)
     else:
         raise DomainError(f"unsupported search space {type(space).__name__}")
-    return _propose(model, starts, eps, n_obs, cfg, descend)
+    threshold = cfg.q * n_obs
+    values, rates = _objective_rows(model, starts, cfg, n_obs)
+    live = rates < threshold
+    values = np.where(live, values, eps)
+    if isinstance(space, ContinuousSpace):
+        for i in np.flatnonzero(live):
+            starts[i], val, frozen = _descend(model, starts[i].copy(), float(values[i]), cfg,
+                                              n_obs, threshold)
+            values[i] = eps[i] if frozen else val
+    return starts[int(np.argmin(values))].copy()
