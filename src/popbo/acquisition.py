@@ -14,9 +14,11 @@ q * n_obs the acquisition value is replaced by a uniform draw eps in [0, 1],
 and descent iterates entering that region are frozen in place.  One
 proposer scores a batch of starts (uniform points, or sampled table rows)
 and takes the argmin, after a projected L-BFGS descent from each live start
-on continuous spaces only.  It calls the model twice over: `rates` on
-batches of points (all starts at once, each Armijo block at once) and
-`rate_and_input_grad` once per accepted iterate.
+on continuous spaces only; a descent moves only the coordinates not held on
+a face and ends at a small gradient or a small relative decrease.  It calls
+the model twice over: `rates` on batches of points (all starts at once,
+each Armijo block at once) and `rate_and_input_grad` once per accepted
+iterate that the descent continues from.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ _DEFAULT_Q = {"r-lcb": 0.6, "eri": 0.4}
 _LBFGS_MEMORY = 10
 _LBFGS_MAX_ITER = 50
 _LBFGS_GTOL = 1e-6
+_LBFGS_FTOL = 1e-5
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 30
 _LINE_SEARCH_BLOCK = 8
@@ -177,11 +180,10 @@ def _rate_and_objective_grad(model: IntensityModel, x: np.ndarray, cfg: Acquisit
     return rate, slopes[0] * d_rate
 
 
-def _projected_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    pg = g.copy()
-    pg[(x <= 0.0) & (g > 0.0)] = 0.0
-    pg[(x >= 1.0) & (g < 0.0)] = 0.0
-    return pg
+def _projected_gradient(x: np.ndarray, g: np.ndarray):
+    """(g with its components on active faces zeroed, the mask of those faces)."""
+    active = ((x <= 0.0) & (g > 0.0)) | ((x >= 1.0) & (g < 0.0))
+    return np.where(active, 0.0, g), active
 
 
 def _two_loop_direction(g: np.ndarray, history: list) -> np.ndarray:
@@ -243,11 +245,15 @@ def _descend(model: IntensityModel, x: np.ndarray, f: float, cfg: AcquisitionCon
     """Projected L-BFGS from x, whose objective value is f; returns (x, value, frozen).
 
     The caller scores and rectifies the start, so x lies in the box with a
-    rate below the threshold.  Each iteration takes one gradient and one
-    line search, whose trials are scored in blocks (_line_search).  The
-    rectification test runs on each accepted iterate: one whose rate
-    reaches the threshold is frozen where it stands and reports no
-    objective value (the caller substitutes its eps draw).
+    rate below the threshold.  Each iteration projects the gradient onto the
+    box, stops below _LBFGS_GTOL, and runs the two-loop recursion on the
+    projection; the direction is zeroed on the active faces (Bertsekas's
+    projected Newton method), or replaced by minus the projected gradient if
+    it does not descend.  One line search follows (_line_search).  An
+    accepted iterate whose rate reaches the threshold is frozen where it
+    stands and reports no objective value (the caller substitutes its eps
+    draw); one that lowers f by at most _LBFGS_FTOL * max(|f|, |f_new|, 1)
+    ends the descent (L-BFGS-B's factr test).
     """
 
     def obj_grad(x):
@@ -257,17 +263,21 @@ def _descend(model: IntensityModel, x: np.ndarray, f: float, cfg: AcquisitionCon
     history: list = []
 
     for _ in range(_LBFGS_MAX_ITER):
-        if np.abs(_projected_gradient(x, g)).max() < _LBFGS_GTOL:
+        pg, active = _projected_gradient(x, g)
+        if np.abs(pg).max() < _LBFGS_GTOL:
             break
-        p = _two_loop_direction(g, history)
-        if float(np.dot(p, g)) >= 0.0:
-            p = -g
+        p = _two_loop_direction(pg, history)
+        p[active] = 0.0
+        if float(np.dot(p, pg)) >= 0.0:
+            p = -pg
         accepted = _line_search(model, x, f, g, p, cfg, n_obs)
         if accepted is None:
             break
         x_new, f_new, rate_new = accepted
         if rate_new >= threshold:
             return x_new, None, True
+        if f - f_new <= _LBFGS_FTOL * max(abs(f), abs(f_new), 1.0):
+            return x_new, f_new, False
         g_new = obj_grad(x_new)
         s = x_new - x
         y = g_new - g

@@ -32,7 +32,7 @@ class ContinuousSpace:
 
 @dataclass(frozen=True)
 class DiscreteSpace:
-    """Finite candidate set; rows are normalized coordinate vectors."""
+    """Finite candidate set; rows are normalized coordinate vectors in [0, 1]^dim."""
 
     candidates: np.ndarray = field(repr=False)
 
@@ -42,6 +42,8 @@ class DiscreteSpace:
             raise InputError("candidates must be a non-empty 2-d array")
         if not np.isfinite(cand).all():
             raise InputError("candidates contain non-finite entries")
+        if cand.min() < 0.0 or cand.max() > 1.0:
+            raise InputError("candidates must lie in the unit hypercube")
         object.__setattr__(self, "candidates", cand)
 
     @property

@@ -18,9 +18,11 @@ of that batch's rates, below the truncation switch.  Each time is the
 minimum and the median, in microseconds, over repeats of a timed loop; the
 number of `model.rates` calls that one `_descend` and one `propose_next`
 make is counted beside them (the line search scores its trials in
-batches, so this shows the mechanism behind the timings), and the
-environment (Python, numpy, BLAS, `nproc`, `OPENBLAS_NUM_THREADS`) is
-recorded:
+batches, so this shows the mechanism behind the timings), and at (35, 6)
+so is their descent work: descents, L-BFGS iterations (one line search
+each) and failed line searches, counted by wrapping `acquisition._descend`
+and `acquisition._line_search` from here.  The environment (Python,
+numpy, BLAS, `nproc`, `OPENBLAS_NUM_THREADS`) is recorded:
 
     OPENBLAS_NUM_THREADS=1 python studies/layers.py [--src DIR] [--out FILE]
     python studies/layers.py --smoke     # one call each, to check that it runs
@@ -158,6 +160,33 @@ def rates_calls(model, fn) -> int:
     return calls
 
 
+def descent_work(acquisition, fn) -> dict:
+    """Descents, L-BFGS iterations and failed line searches in one call of fn.
+
+    Each iteration that moves runs one `_line_search`, which returns None
+    when it fails.
+    """
+    counts = {"descents": 0, "iterations": 0, "failed_line_searches": 0}
+    descend, line_search = acquisition._descend, acquisition._line_search
+
+    def counted_descend(*args):
+        counts["descents"] += 1
+        return descend(*args)
+
+    def counted_line_search(*args):
+        counts["iterations"] += 1
+        accepted = line_search(*args)
+        counts["failed_line_searches"] += accepted is None
+        return accepted
+
+    acquisition._descend, acquisition._line_search = counted_descend, counted_line_search
+    try:
+        fn()
+    finally:
+        acquisition._descend, acquisition._line_search = descend, line_search
+    return counts
+
+
 def measure(n: int, dim: int, smoke: bool) -> dict:
     from popbo import acquisition, poisson, surrogate
     from popbo.space import ContinuousSpace, DiscreteSpace
@@ -227,6 +256,8 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
         report["objective_discrete_batch"] = timed(
             lambda: acquisition.objective_and_drate(batch_rates, n, cfg, drate=False), smoke)
     else:
+        report["descent_work"] = {"_descend": descent_work(acquisition, descend),
+                                  "propose_next": descent_work(acquisition, propose)}
         report["rate_and_input_grad"] = timed(lambda: model.rate_and_input_grad(x0), smoke)
         report["rates_one_row"] = timed(lambda: model.rates(x0[None, :]), smoke)
     return report

@@ -25,7 +25,11 @@ Verdict rule, fixed before the study's first run:
   * quality holds when neither rejects against the change.
 The median of each checkout and the parent's 90% bootstrap CI of its median
 are reported but not gated on: with a heavy-tailed regret, a last-bit change
-moves a 30-seed median outside that CI without any real effect.
+moves a 30-seed median outside that CI without any real effect.  Each
+cell's exact one-sided sign test for improvement (the chance of at least as
+many wins under no effect, from the same pairs) is reported beside the
+verdict, also not gated on, so that a change claiming better quality can
+cite it; so is the study's wall time.
 
 Only the standard library and numpy are used.  The exit status is 0 when
 quality holds, else 1.
@@ -131,6 +135,12 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * sum(math.comb(n, i) for i in range(k + 1)) / 2.0 ** n)
 
 
+def improvement_sign_test(wins: int, losses: int) -> float:
+    """Exact one-sided sign test p-value for more wins than chance (ties dropped)."""
+    n = wins + losses
+    return sum(math.comb(n, i) for i in range(wins, n + 1)) / 2.0 ** n
+
+
 def holm(p_values: list) -> list:
     """Holm step-down adjusted p-values, in the input order."""
     order = sorted(range(len(p_values)), key=lambda i: p_values[i])
@@ -168,7 +178,8 @@ def cell_report(cell: dict, parent_runs: list, change_runs: list, iters: int) ->
     return dict(cell, parent=parent, change=change, parent_median_ci90=ci,
                 change_median_in_parent_ci90_or_below=bool(change["median"] <= ci[1]),
                 wins=wins, losses=losses, ties=len(p_final) - wins - losses,
-                sign_p=sign_test(wins, losses))
+                sign_p=sign_test(wins, losses),
+                improvement_p=improvement_sign_test(wins, losses))
 
 
 def study(parent: Path, change: Path, seeds: int, iters: int) -> dict:
@@ -203,7 +214,8 @@ def study(parent: Path, change: Path, seeds: int, iters: int) -> dict:
         r["rejects_against_change"] = p < ALPHA and r["losses"] > r["wins"]
     wins, losses = sum(r["wins"] for r in gated), sum(r["losses"] for r in gated)
     pooled = {"wins": wins, "losses": losses, "ties": sum(r["ties"] for r in gated),
-              "sign_p": sign_test(wins, losses)}
+              "sign_p": sign_test(wins, losses),
+              "improvement_p": improvement_sign_test(wins, losses)}
     pooled["rejects_against_change"] = pooled["sign_p"] < ALPHA and losses > wins
     holds = not pooled["rejects_against_change"] and not any(
         r["rejects_against_change"] for r in gated)
@@ -249,9 +261,11 @@ def main(argv=None) -> int:
     for r in report["cells"]:
         print(f"{r['label']:>13} {r['method']:>13}  median {r['parent']['median']:.4g} -> "
               f"{r['change']['median']:.4g}  wins {r['wins']}/{r['losses']}/{r['ties']}  "
-              f"p {r['sign_p']:.3g}")
+              f"p {r['sign_p']:.3g}  improvement p {r['improvement_p']:.3g}")
     print(f"pooled wins/losses/ties {report['pooled']['wins']}/{report['pooled']['losses']}/"
-          f"{report['pooled']['ties']}  p {report['pooled']['sign_p']:.3g}: {report['verdict']}")
+          f"{report['pooled']['ties']}  p {report['pooled']['sign_p']:.3g}  improvement p "
+          f"{report['pooled']['improvement_p']:.3g}: {report['verdict']}")
+    print(f"wall time {report['settings']['wall_seconds']:.0f} s")
     if args.smoke and any(r["wins"] or r["losses"] for r in report["cells"]):
         print("smoke: a checkout against itself must tie every pair", file=sys.stderr)
         return 1

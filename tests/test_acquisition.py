@@ -638,6 +638,78 @@ class TestBlockedLineSearch:
         assert any(np.array_equal(x, c) for c in cands)
 
 
+def recorded_descent(monkeypatch, model, x, cfg, n_obs):
+    """(_descend's result, [(f, p, accepted) per line search]) from x."""
+    searches = []
+    line_search = acquisition._line_search
+
+    def recording(model, x, f, g, p, cfg, n_obs):
+        accepted = line_search(model, x, f, g, p, cfg, n_obs)
+        searches.append((f, p.copy(), accepted))
+        return accepted
+
+    monkeypatch.setattr(acquisition, "_line_search", recording)
+    f, _ = start_of(model, x, cfg, n_obs)
+    return acquisition._descend(model, x.copy(), f, cfg, n_obs, cfg.q * n_obs), searches
+
+
+def meets_relative_decrease(f, f_new):
+    return f - f_new <= acquisition._LBFGS_FTOL * max(abs(f), abs(f_new), 1.0)
+
+
+class TestDescent:
+    """The descent's direction respects the box, and its stop test fires."""
+
+    def test_direction_is_zero_on_a_face_the_gradient_leaves(self, monkeypatch):
+        cfg = AcquisitionConfig(kind="r-lcb", q=1.0)
+        model = IntensityModel.create(3, hidden=(16, 16), rng_seed=2)
+        x = np.array([0.0, 0.4, 0.6])
+        # The gradient points out of the face x[0] = 0: descending means x[0] < 0.
+        assert start_of(model, x, cfg, 8)[1][0] > 0.0
+        (_, value, frozen), searches = recorded_descent(monkeypatch, model, x, cfg, 8)
+        assert searches[0][1][0] == 0.0
+        assert searches[0][1][1:].any()
+        assert searches[-1][2] is not None
+        assert not frozen and value < searches[0][0]
+
+    def test_ends_at_the_relative_decrease_test(self, monkeypatch):
+        # rate = softplus(4 x0 + 2 x1 + b) with rate(0) = 0.05.  From n_obs = 12
+        # on, mu = rate, so R-LCB = sqrt(mu) (sqrt(mu) - 1) has its minimum
+        # -1/4 inside the box, where the rate is 1/4.
+        cfg = AcquisitionConfig(kind="r-lcb", q=1.0)
+        model = IntensityModel.create(2, hidden=(), rng_seed=0)
+        model.weights[0][...] = [[4.0], [2.0]]
+        model.biases[0][...] = math.log(math.expm1(0.05))
+        x = np.array([0.9, 0.8])
+        (x_end, value, frozen), searches = recorded_descent(monkeypatch, model, x, cfg, 12)
+        assert value == pytest.approx(-0.25, abs=1e-6)
+        assert 1 <= len(searches) < acquisition._LBFGS_MAX_ITER
+        f, _, accepted = searches[-1]
+        assert accepted is not None and not frozen
+        np.testing.assert_array_equal(x_end, accepted[0])
+        assert value == accepted[1]
+        assert meets_relative_decrease(f, value)
+        # No earlier step met the test, or the descent would have ended there.
+        assert not any(meets_relative_decrease(f0, acc[1]) for f0, _, acc in searches[:-1])
+
+    @pytest.mark.parametrize("kind", ["r-lcb", "eri"])
+    def test_never_climbs_and_stays_in_the_box(self, kind):
+        rng = np.random.default_rng(75)
+        cfg = AcquisitionConfig(kind=kind, q=1.0, k_max=3)
+        n_obs = 8
+        for model_seed in range(4):
+            model = IntensityModel.create(3, hidden=(16, 16), rng_seed=model_seed)
+            for _ in range(10):
+                x = rng.uniform(size=3)
+                x[rng.uniform(size=3) < 0.3] = rng.integers(0, 2)
+                f, _ = start_of(model, x, cfg, n_obs)
+                x_end, value, frozen = acquisition._descend(model, x.copy(), f, cfg, n_obs,
+                                                            cfg.q * n_obs)
+                assert (x_end >= 0.0).all() and (x_end <= 1.0).all()
+                if not frozen:
+                    assert value <= f
+
+
 class TestProposeDiscrete:
     def test_picks_lowest_unrectified_rate(self):
         # Candidate rates ~ {0.1, 3.4, 9.0}; threshold 6 rectifies only the

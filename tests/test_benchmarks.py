@@ -18,7 +18,9 @@ from popbo.benchmarks import (
     hartmann6,
     rosenbrock,
 )
+from popbo.engine import BoRunConfig, run
 from popbo.errors import DomainError, InputError
+from popbo.space import DiscreteSpace
 from popbo.surrogate import TrainConfig
 from ranking import _average_ranks, _spearman, forrester_ranking_study
 
@@ -215,6 +217,28 @@ class TestTabularBenchmark:
         p = write_csv(tmp_path / "t.csv", "a,value\n")
         with pytest.raises(InputError):
             TabularBenchmark.from_csv(p)
+
+    @pytest.mark.parametrize("row", [[0.5, 2.0], [-0.1, 0.5], [1.0 + 1e-12, 0.0]])
+    def test_space_rejects_rows_outside_the_unit_cube(self, row):
+        DiscreteSpace([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(InputError, match="unit hypercube"):
+            DiscreteSpace([[0.0, 1.0], row])
+
+    def test_raw_levels_fail_before_any_evaluation(self):
+        # A table built directly from raw levels, not through from_csv.
+        evaluated = []
+
+        class Counting(TabularBenchmark):
+            def evaluate(self, x, rng=None):
+                evaluated.append(x)
+                return super().evaluate(x, rng)
+
+        bench = Counting("raw", ["a", "b"], [[0.1, 0.2], [0.5, 2.0], [0.3, 0.9], [0.7, 0.4]],
+                         [1.0, 2.0, 3.0, 4.0])
+        for seed in range(5):
+            with pytest.raises(InputError, match="unit hypercube"):
+                run(bench, BoRunConfig(n_init=3, n_iters=2, seed=seed, hidden=(8,)))
+        assert evaluated == []
 
     def test_has_no_noise_setting(self):
         # evaluate is an exact lookup, so a noise level could only be dropped.

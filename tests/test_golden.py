@@ -37,6 +37,12 @@ exps differ in the last bit for a few percent of inputs, and the slope in
 moved by up to about 4e-14.  The other two runs and the three fits kept
 their digests.  Under OpenBLAS's Haswell kernel with numpy's AVX-512
 dispatch disabled, all six digests equal those of the code before it.
+
+Then both runs, when the continuous descents began to zero their direction
+on the active faces of the box and to stop once an accepted step lowers the
+objective by no more than 1e-5 relative: every descent takes other steps and
+most end earlier, so the queries move.  Tables never descend, so the table
+run and the three fits kept their digests.
 """
 
 import hashlib
@@ -53,8 +59,8 @@ from popbo.harness import ExperimentConfig, run_experiment, trace_path, write_tr
 from popbo.surrogate import IntensityModel, ObservationSet, TrainConfig, fit
 
 GOLDEN_RUNS = {
-    "branin-rlcb": "32a7d416b52210100c303744d18c76275d1ac9cec556b501174f5176c4a01e8c",
-    "hartmann6-eri": "937978e5a2d4d0844a18e8604c248749dc0526d8069deb7629c7a8526e19c37c",
+    "branin-rlcb": "fc5a016f75d0649b60f7fe7a2a83680f36e19c82878cf3590a984b38c253f3bb",
+    "hartmann6-eri": "196280e931a9cafc86d60f632f728c47388299ee13b4d3416225869d5bf4edad",
 }
 GOLDEN_TABLE = "045250cf9a5cc4c45b7aa78db96d511770a94850977dfe33e4715d5cbdbbcbab"
 GOLDEN_FITS = {
