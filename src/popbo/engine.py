@@ -27,9 +27,9 @@ __all__ = ["BoRunConfig", "TraceRecord", "RegretTrace", "run", "random_search_ba
            "incumbent"]
 
 _SEED_BOUND = 2 ** 63
-# ADAM steps of every fit after the first, which continues the previous
-# fit's moments from a trained start.
-_WARM_STEPS = 60
+# ADAM steps of every fit after the first, which continues the previous fit's
+# moments from a trained start: one learning-rate phase of the default schedule.
+_WARM_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def run(objective, cfg: BoRunConfig) -> RegretTrace:
     The model is created at the first iteration and fitted for
     cfg.surrogate.steps ADAM steps.  Every later fit is warm: it starts from
     the last parameters, continues their ADAM moments (see fit) and runs
-    min(cfg.surrogate.steps, _WARM_STEPS) steps, 60 of the default 100.
+    min(cfg.surrogate.steps, _WARM_STEPS) steps, 30 of the default 100.
     Wall-clock seconds are recorded split into fit / propose / evaluate.
     """
     space = objective.space

@@ -144,8 +144,8 @@ class TrainConfig:
         for name in ("batch_size", "decay_every"):
             if not is_count(getattr(self, name), 1):
                 raise InputError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
-        if not (self.initial_lr > 0):
-            raise InputError("initial_lr must be > 0")
+        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0):
+            raise InputError(f"initial_lr must be finite and > 0, got {self.initial_lr!r}")
 
 
 @dataclass

@@ -8,7 +8,11 @@ a full batch, one ADAM step, `_ll_terms`, the rank law's normalizer and
 its slope as `rate_gradient` asks for them (`poisson.log_normalizer` at
 (N, N - 1), or `surrogate._normalizer` in checkouts from before it),
 `objective_and_drate` on one rate, one `_descend` (from the observed point
-of lowest rate), `propose_next` and `compute_ranks`; at (35, 6) one
+of lowest rate), `propose_next` and `compute_ranks`; two whole `fit` calls
+from the carried ADAM state of a cold pre-fit, one of the checkout's
+`engine._WARM_STEPS` steps (the warm fit every step after the first makes)
+and one of a single step (the fit's fixed cost), each timed from the same
+start, which an in-place copy restores before every call; at (35, 6) one
 `rate_and_input_grad` call, beside a one-row `model.rates` call at the
 same point (the descent makes one of the first per accepted iterate); and
 at (11, 4) one `model.rates` call on the discrete proposer's batch of
@@ -54,7 +58,7 @@ except ImportError:  # not on Windows
 
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = ((35, 6), (11, 4))
-WARM_STEPS = 100
+PRE_FIT_STEPS = 100
 REPEATS, TARGET_S = 7, 0.05
 GRID_LEVELS = 8
 
@@ -142,6 +146,28 @@ def normalizer(poisson, surrogate, rates, n: int):
     return lambda: surrogate._normalizer(rates, n, slope=True)
 
 
+def warm_fit(surrogate, model, obs, steps: int):
+    """A `fit` of `steps` steps from the model's state now, as a thunk.
+
+    Each call first copies the start parameters and ADAM moments back in
+    place, so every timed fit starts from the same carried state, and draws
+    its minibatches from a fresh stream, as the engine does.
+    """
+    cfg = surrogate.TrainConfig(steps=steps)
+    params = model.params.copy()
+    state = getattr(model, "adam_state", None)
+    saved = None if state is None else (state[0].copy(), state[1].copy())
+
+    def thunk():
+        model.params[...] = params
+        if state is not None:
+            state[0][...], state[1][...] = saved
+            model.adam_state = state
+        surrogate.fit(model, obs, cfg, rng=np.random.default_rng(1))
+
+    return thunk
+
+
 def rates_calls(model, fn) -> int:
     """Number of `model.rates` calls made by one call of fn."""
     calls = 0
@@ -188,13 +214,17 @@ def descent_work(acquisition, fn) -> dict:
 
 
 def measure(n: int, dim: int, smoke: bool) -> dict:
-    from popbo import acquisition, poisson, surrogate
+    from popbo import acquisition, engine, poisson, surrogate
     from popbo.space import ContinuousSpace, DiscreteSpace
 
     rng = np.random.default_rng([n, dim])
     obs = surrogate.ObservationSet.from_values(rng.uniform(size=(n, dim)), rng.normal(size=n))
     model = surrogate.IntensityModel.create(dim, rng_seed=n)
-    surrogate.fit(model, obs, surrogate.TrainConfig(steps=WARM_STEPS), rng=np.random.default_rng(0))
+    surrogate.fit(model, obs, surrogate.TrainConfig(steps=PRE_FIT_STEPS),
+                  rng=np.random.default_rng(0))
+    # Taken before the ADAM step timings below move the carried moments.
+    fits = {"warm_fit": warm_fit(surrogate, model, obs, engine._WARM_STEPS),
+            "fit_1_step": warm_fit(surrogate, model, obs, 1)}
 
     dtype, forward, backward, params = training_pass(surrogate, model)
     points = obs.points.astype(dtype)
@@ -260,6 +290,9 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
                                   "propose_next": descent_work(acquisition, propose)}
         report["rate_and_input_grad"] = timed(lambda: model.rate_and_input_grad(x0), smoke)
         report["rates_one_row"] = timed(lambda: model.rates(x0[None, :]), smoke)
+    # Timed last, since each fit leaves the model trained on from its start.
+    report["warm_fit"] = {**timed(fits["warm_fit"], smoke), "steps": engine._WARM_STEPS}
+    report["fit_1_step"] = timed(fits["fit_1_step"], smoke)
     return report
 
 

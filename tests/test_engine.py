@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import popbo.engine as engine
+import popbo.surrogate as surrogate
 from popbo.acquisition import AcquisitionConfig
 from popbo.benchmarks import BenchmarkFunction, branin, get_benchmark
 from popbo.engine import BoRunConfig, RegretTrace, TraceRecord, incumbent, run
@@ -72,7 +73,8 @@ class TestConfigValidation:
         lambda: dict(surrogate=TrainConfig(steps=2.5)),
         lambda: dict(surrogate=TrainConfig(batch_size=2.5)),
         lambda: dict(hidden=(0,)),
-    ], ids=["k_max", "steps", "batch_size", "hidden"])
+        lambda: dict(surrogate=TrainConfig(initial_lr=math.inf)),
+    ], ids=["k_max", "steps", "batch_size", "hidden", "initial_lr"])
     def test_run_raises_before_any_evaluation(self, overrides):
         calls = []
 
@@ -212,6 +214,28 @@ class TestDeterminism:
         warm = min(steps, engine._WARM_STEPS)
         assert [s for s, _ in seen] == [steps, warm, warm]
         assert seen[0][1]  # the first fit starts ADAM cold
+
+    def test_warm_fits_never_decay_the_learning_rate(self, monkeypatch):
+        fits = []
+        real_fit, real_step = engine.fit, surrogate._Adam.step
+
+        def fit_spy(model, obs, cfg, rng=None):
+            fits.append([])
+            return real_fit(model, obs, cfg, rng=rng)
+
+        def step_spy(adam, lr):
+            fits[-1].append(lr)
+            return real_step(adam, lr)
+
+        monkeypatch.setattr(engine, "fit", fit_spy)
+        monkeypatch.setattr(surrogate._Adam, "step", step_spy)
+        cfg = TrainConfig()
+        run(get_benchmark("branin"), small_config(n_iters=3, surrogate=cfg))
+        cold, *warm = fits
+        assert cold == pytest.approx(
+            [cfg.initial_lr * 0.2 ** (step // cfg.decay_every) for step in range(cfg.steps)])
+        assert len(warm) == 2
+        assert all(rates == [cfg.initial_lr] * engine._WARM_STEPS for rates in warm)
 
 
 class TestEvaluationFailure:

@@ -119,6 +119,8 @@ class TestTrainConfig:
             TrainConfig(steps=-1)
         with pytest.raises(InputError):
             TrainConfig(initial_lr=0.0)
+        with pytest.raises(InputError, match="initial_lr"):
+            TrainConfig(initial_lr=math.inf)
 
     @pytest.mark.parametrize("field,value", [
         ("steps", 2.5), ("steps", True), ("batch_size", 2.5), ("batch_size", 0),
