@@ -16,9 +16,11 @@ proposer scores a batch of starts (uniform points, or sampled table rows)
 and takes the argmin, after a projected L-BFGS descent from each live start
 on continuous spaces only; a descent moves only the coordinates not held on
 a face and ends at a small gradient or a small relative decrease.  It calls
-the model twice over: `rates` on batches of points (all starts at once,
-each Armijo block at once) and `rate_and_input_grad` once per accepted
-iterate that the descent continues from.
+the model only through `rates`, on batches of points (all starts at once,
+each Armijo block at once); on continuous spaces each call keeps its
+forward pass, whose row the descent continues from supplies that
+iterate's gradient (`input_grad`), so an L-BFGS iteration costs one model
+pass.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, RectifiedRegionError, is_count
+from .errors import DomainError, PreconditionError, RectifiedRegionError, is_count, is_real
 # Unused but bound: perfbench/tracer.py patches log_factorials, log_partial_exp_sum, logsumexp.
-from .poisson import (log_factorials, log_normalizer, log_partial_exp_sum, logsumexp,
-                      partial_sum_log_terms)
+from .poisson import (TRUNCATION_SWITCH_N, log_factorials, log_normalizer, log_partial_exp_sum,
+                      logsumexp, partial_sum_log_terms)
 from .space import ContinuousSpace, DiscreteSpace
 from .surrogate import IntensityModel, ObservationSet
 
@@ -83,12 +85,12 @@ class AcquisitionConfig:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "kind", kind)
         q = self.q if self.q is not None else _DEFAULT_Q[kind]
-        if not (0 < q <= 1):
+        if not (is_real(q) and 0 < q <= 1):
             raise DomainError(f"q must lie in (0, 1], got {q!r}")
         object.__setattr__(self, "q", float(q))
         if not is_count(self.k_max, 0):
             raise DomainError(f"k_max must be an integer >= 0, got {self.k_max!r}")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
+        if not (is_real(self.beta) and math.isfinite(self.beta) and self.beta >= 0):
             raise DomainError(f"beta must be finite and >= 0, got {self.beta!r}")
 
 
@@ -126,8 +128,12 @@ def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig, drate: bool =
     if cfg.k_max == 0:
         zeros = np.zeros_like(rates)
         return zeros, zeros if drate else None
-    log_z = log_normalizer(rates, n_obs, n_obs, 1 if drate else 0)
-    pmf = np.exp(partial_sum_log_terms(rates, cfg.k_max - 1) - log_z[0][..., None])
+    # Below the switch the normalizer's term matrix holds p_0..p_{k_max-1}'s
+    # terms as its first k_max columns (bitwise, as the columns are prefixes).
+    truncated = n_obs < TRUNCATION_SWITCH_N
+    terms = partial_sum_log_terms(rates, n_obs if truncated else cfg.k_max - 1)
+    log_z = log_normalizer(rates, n_obs, n_obs, 1 if drate else 0, terms)
+    pmf = np.exp(terms[..., :cfg.k_max] - log_z[0][..., None])
     cdf = np.add.accumulate(pmf, axis=-1)
     eri_values = cdf.sum(axis=-1)
     if not drate:
@@ -204,16 +210,28 @@ def _two_loop_direction(g: np.ndarray, history: list) -> np.ndarray:
 
 
 def _objective_rows(model: IntensityModel, xs: np.ndarray, cfg: AcquisitionConfig,
-                    n_obs: int):
-    """(objective values, rates) at the rows of xs, from one `rates` call."""
-    rates = model.rates(xs)
-    values, _ = objective_and_drate(rates, n_obs, cfg, drate=False)
-    return values, rates
+                    n_obs: int, keep: bool = False):
+    """(objective values, rates, slopes, caches) at the rows of xs, from one `rates` call.
+
+    With keep the call keeps its forward pass, and row j's objective
+    gradient is slopes[j] * model.input_grad(caches, j); without keep,
+    slopes and caches are None.
+    """
+    if not keep:
+        rates = model.rates(xs)
+        return objective_and_drate(rates, n_obs, cfg, drate=False)[0], rates, None, None
+    rates, caches = model.rates(xs, keep=True)
+    values, slopes = objective_and_drate(rates, n_obs, cfg)
+    return values, rates, slopes, caches
 
 
 def _line_search(model: IntensityModel, x: np.ndarray, f: float, g: np.ndarray,
                  p: np.ndarray, cfg: AcquisitionConfig, n_obs: int):
-    """Backtracking Armijo search along p from x; (x_new, f_new, rate_new) or None.
+    """Backtracking Armijo search along p from x, or None when it fails.
+
+    Returns (x_new, f_new, rate_new, slope, caches, j): the accepted trial,
+    its objective value, rate and d objective / d rate, and the kept forward
+    pass of its block with the trial's row j in it.
 
     The trials are clip(x + alpha p) for alpha = 1, 1/2, ..., 2^-29 in that
     order, and the first with f_new <= f + c1 g . (x_new - x) is accepted.
@@ -230,36 +248,35 @@ def _line_search(model: IntensityModel, x: np.ndarray, f: float, g: np.ndarray,
         n = hi - lo if moving.all() else int(np.argmin(moving))
         if n == 0:
             return None
-        values, rates = _objective_rows(model, trials[:n], cfg, n_obs)
+        values, rates, slopes, caches = _objective_rows(model, trials[:n], cfg, n_obs,
+                                                        keep=True)
         passed = values <= f + _ARMIJO_C1 * (steps[:n] @ g)
         if passed.any():
             j = int(np.argmax(passed))
-            return trials[j], float(values[j]), float(rates[j])
+            return trials[j], float(values[j]), float(rates[j]), float(slopes[j]), caches, j
         if n < hi - lo:
             return None
     return None
 
 
-def _descend(model: IntensityModel, x: np.ndarray, f: float, cfg: AcquisitionConfig,
-             n_obs: int, threshold: float):
-    """Projected L-BFGS from x, whose objective value is f; returns (x, value, frozen).
+def _descend(model: IntensityModel, x: np.ndarray, f: float, g: np.ndarray,
+             cfg: AcquisitionConfig, n_obs: int, threshold: float):
+    """Projected L-BFGS from x, with objective value f and gradient g there.
 
-    The caller scores and rectifies the start, so x lies in the box with a
-    rate below the threshold.  Each iteration projects the gradient onto the
-    box, stops below _LBFGS_GTOL, and runs the two-loop recursion on the
-    projection; the direction is zeroed on the active faces (Bertsekas's
-    projected Newton method), or replaced by minus the projected gradient if
-    it does not descend.  One line search follows (_line_search).  An
-    accepted iterate whose rate reaches the threshold is frozen where it
-    stands and reports no objective value (the caller substitutes its eps
-    draw); one that lowers f by at most _LBFGS_FTOL * max(|f|, |f_new|, 1)
-    ends the descent (L-BFGS-B's factr test).
+    Returns (x, value, frozen).  The caller scores and rectifies the start,
+    so x lies in the box with a rate below the threshold.  Each iteration
+    projects the gradient onto the box, stops below _LBFGS_GTOL, and runs
+    the two-loop recursion on the projection; the direction is zeroed on
+    the active faces (Bertsekas's projected Newton method), or replaced by
+    minus the projected gradient if it does not descend.  One line search
+    follows (_line_search).  An accepted iterate whose rate reaches the
+    threshold is frozen where it stands and reports no objective value (the
+    caller substitutes its eps draw); one that lowers f by at most
+    _LBFGS_FTOL * max(|f|, |f_new|, 1) ends the descent (L-BFGS-B's factr
+    test).  Only the line searches call the model: the gradient at an
+    accepted iterate is built from the forward pass that scored it, and
+    only when the descent continues from it.
     """
-
-    def obj_grad(x):
-        return _rate_and_objective_grad(model, x, cfg, n_obs)[1]
-
-    g = obj_grad(x)
     history: list = []
 
     for _ in range(_LBFGS_MAX_ITER):
@@ -273,12 +290,12 @@ def _descend(model: IntensityModel, x: np.ndarray, f: float, cfg: AcquisitionCon
         accepted = _line_search(model, x, f, g, p, cfg, n_obs)
         if accepted is None:
             break
-        x_new, f_new, rate_new = accepted
+        x_new, f_new, rate_new, slope, caches, j = accepted
         if rate_new >= threshold:
             return x_new, None, True
         if f - f_new <= _LBFGS_FTOL * max(abs(f), abs(f_new), 1.0):
             return x_new, f_new, False
-        g_new = obj_grad(x_new)
+        g_new = slope * model.input_grad(caches, j)
         s = x_new - x
         y = g_new - g
         sy = float(np.dot(s, y))
@@ -298,10 +315,11 @@ def propose_next(model: IntensityModel, space, obs: ObservationSet,
     each with its eps from its own substream, or _DISCRETE_SAMPLES candidates
     drawn with replacement and then their eps, from one stream.  One `rates`
     call scores every start; a start whose rate reaches q * n_obs takes its
-    eps draw as value.  On continuous spaces each live start is then
-    descended in place, and one whose descent freezes also takes its eps.
-    The argmin wins; ties (all rectified with equal eps) fall to the lowest
-    start.  eri with k_max > len(obs) raises DomainError.
+    eps draw as value.  On continuous spaces that call keeps its forward
+    pass, which gives each live start its first gradient, and each live
+    start is then descended in place; one whose descent freezes also takes
+    its eps.  The argmin wins; ties (all rectified with equal eps) fall to
+    the lowest start.  eri with k_max > len(obs) raises DomainError.
     """
     n_obs = len(obs)
     if n_obs < 1:
@@ -318,12 +336,14 @@ def propose_next(model: IntensityModel, space, obs: ObservationSet,
     else:
         raise DomainError(f"unsupported search space {type(space).__name__}")
     threshold = cfg.q * n_obs
-    values, rates = _objective_rows(model, starts, cfg, n_obs)
+    descends = isinstance(space, ContinuousSpace)
+    values, rates, slopes, caches = _objective_rows(model, starts, cfg, n_obs, keep=descends)
     live = rates < threshold
     values = np.where(live, values, eps)
-    if isinstance(space, ContinuousSpace):
+    if descends:
         for i in np.flatnonzero(live):
-            starts[i], val, frozen = _descend(model, starts[i].copy(), float(values[i]), cfg,
+            g = slopes[i] * model.input_grad(caches, i)
+            starts[i], val, frozen = _descend(model, starts[i].copy(), float(values[i]), g, cfg,
                                               n_obs, threshold)
             values[i] = eps[i] if frozen else val
     return starts[int(np.argmin(values))].copy()

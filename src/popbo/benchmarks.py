@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, is_real
 from .space import ContinuousSpace, DiscreteSpace
 
 __all__ = [
@@ -105,7 +105,8 @@ class BenchmarkFunction:
             raise InputError(f"bounds must have shape ({self.dim}, 2), got {bounds.shape}")
         if not np.isfinite(bounds).all() or not (bounds[:, 0] < bounds[:, 1]).all():
             raise InputError("bounds must be finite with lower < upper")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+        if not (is_real(self.noise_sigma) and math.isfinite(self.noise_sigma)
+                and self.noise_sigma >= 0):
             raise InputError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         object.__setattr__(self, "bounds", bounds)
 

@@ -1,4 +1,4 @@
-"""Exception types, and the integer check, shared across the package."""
+"""Exception types, and the integer and real-number checks, shared across the package."""
 
 import copyreg
 
@@ -9,6 +9,12 @@ def is_count(value, minimum: int) -> bool:
     """Whether value is an integer (a Python or numpy int, not a bool) >= minimum."""
     return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and value >= minimum)
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number (a Python or numpy int or float, not a bool)."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 class PopboError(Exception):

@@ -21,7 +21,7 @@ import numpy as np
 from .acquisition import AcquisitionConfig
 from .benchmarks import BENCHMARK_NAMES, TabularBenchmark, default_n_init, get_benchmark
 from .engine import BoRunConfig, RegretTrace, random_search_baseline, run
-from .errors import DomainError, InputError, PopboError, is_count
+from .errors import DomainError, InputError, PopboError, is_count, is_real
 
 __all__ = [
     "METHODS",
@@ -80,7 +80,8 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", seeds)
         if self.n_iters < 0:
             raise DomainError("n_iters must be >= 0")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+        if not (is_real(self.noise_sigma) and math.isfinite(self.noise_sigma)
+                and self.noise_sigma >= 0):
             raise DomainError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if not is_count(self.workers, 1):
             raise DomainError(f"workers must be an integer >= 1, got {self.workers!r}")

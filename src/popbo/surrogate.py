@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, PreconditionError, TrainingDivergedError, is_count
+from .errors import InputError, PreconditionError, TrainingDivergedError, is_count, is_real
 # Unused but bound: perfbench/tracer.py patches log_partial_exp_sum.
 from .poisson import log_factorials, log_normalizer, log_partial_exp_sum
 
@@ -130,7 +130,8 @@ class TrainConfig:
 
     The learning rate starts at initial_lr and is multiplied by the fixed
     factor _LR_DECAY (0.2) every decay_every steps.  The three counts must be
-    integers; steps=0 is allowed and leaves the model untouched.
+    integers and initial_lr a real number, not a bool; steps=0 is allowed
+    and leaves the model untouched.
     """
 
     steps: int = 100
@@ -144,7 +145,8 @@ class TrainConfig:
         for name in ("batch_size", "decay_every"):
             if not is_count(getattr(self, name), 1):
                 raise InputError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
-        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0):
+        if not (is_real(self.initial_lr) and math.isfinite(self.initial_lr)
+                and self.initial_lr > 0):
             raise InputError(f"initial_lr must be finite and > 0, got {self.initial_lr!r}")
 
 
@@ -166,11 +168,11 @@ class IntensityModel:
     first fit and after a fit that restored its start.  The next fit
     continues from it.  copy() returns a model without it, which fits cold.
 
-    ``_layer_buffers`` holds two flat float64 buffers that rates() writes
-    its hidden layers into, alternating by layer, so scoring a large batch
-    maps no fresh memory.  They grow to the largest batch seen, and copy() leaves
-    them out.  Every rates() call writes them, so one model must not be
-    scored from two threads at once.
+    ``_layer_buffers`` holds two flat float64 buffers that rates() without
+    keep writes its hidden layers into, alternating by layer, so scoring a
+    large batch maps no fresh memory.  They grow to the largest batch seen,
+    and copy() leaves them out.  Every such call writes them, so one model
+    must not be scored from two threads at once.
     """
 
     weights: list
@@ -260,14 +262,20 @@ class IntensityModel:
             slope = 1.0 / (1.0 + np.exp(-z))
         return rates, (inputs, pre_acts, slope)
 
-    def rates(self, x) -> np.ndarray:
-        """Predicted rates for a batch of points, shape (n, d) -> (n,)."""
+    def rates(self, x, keep: bool = False):
+        """Predicted rates for a batch of points, shape (n, d) -> (n,).
+
+        With keep, returns (rates, caches) from a forward pass that keeps
+        its activations, for input_grad; it performs the same operations as
+        the buffered pass, so the rates are bitwise equal.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise InputError(f"expected shape (n, {self.dim}), got {x.shape}")
         if not np.isfinite(x).all():
             raise InputError("non-finite inputs")
-        return self._forward(x, keep=False)[0]
+        rates, caches = self._forward(x, keep=keep)
+        return (rates, caches) if keep else rates
 
     def _backward(self, caches, d_rates: np.ndarray, grad_w: list, grad_b: list, weights=None):
         """Parameter gradients of sum_j d_rates[j] * rate_j.
@@ -294,6 +302,14 @@ class IntensityModel:
             if layer > 0:
                 downstream = delta @ weights[layer].T
 
+    def input_grad(self, caches, j: int) -> np.ndarray:
+        """Gradient (d,) of rate j with respect to row j of x, from rates(x, keep=True)."""
+        _, pre_acts, slope = caches
+        v = slope[j] * self.weights[-1][:, 0]
+        for layer in range(len(self.weights) - 2, -1, -1):
+            v = self.weights[layer] @ (v * (pre_acts[layer][j] > 0.0))
+        return v
+
     def rate_and_input_grad(self, x):
         """Rate at a single point and its gradient with respect to x.
 
@@ -303,16 +319,8 @@ class IntensityModel:
         Returns:
             (rate, gradient) with gradient of shape (d,).
         """
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        if x.shape[1] != self.dim:
-            raise InputError(f"expected {self.dim} coordinates, got {x.shape[1]}")
-        if not np.isfinite(x).all():
-            raise InputError("non-finite inputs")
-        rates, (_, pre_acts, slope) = self._forward(x)
-        v = slope[0] * self.weights[-1][:, 0]
-        for layer in range(len(self.weights) - 2, -1, -1):
-            v = self.weights[layer] @ (v * (pre_acts[layer][0] > 0.0))
-        return float(rates[0]), v
+        rates, caches = self.rates(np.asarray(x, dtype=float).reshape(1, -1), keep=True)
+        return float(rates[0]), self.input_grad(caches, 0)
 
 
 def _ll_terms(rates: np.ndarray, ranks: np.ndarray, norm: np.ndarray) -> np.ndarray:

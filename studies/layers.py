@@ -13,8 +13,9 @@ from the carried ADAM state of a cold pre-fit, one of the checkout's
 `engine._WARM_STEPS` steps (the warm fit every step after the first makes)
 and one of a single step (the fit's fixed cost), each timed from the same
 start, which an in-place copy restores before every call; at (35, 6) one
-`rate_and_input_grad` call, beside a one-row `model.rates` call at the
-same point (the descent makes one of the first per accepted iterate); and
+`rate_and_input_grad` call (`grad_acquisition`'s pass; descents made one
+per accepted iterate until their line searches kept their own passes),
+beside a one-row `model.rates` call at the same point; and
 at (11, 4) one `model.rates` call on the discrete proposer's batch of
 sampled rows, with its minor page faults per call (from
 `resource.getrusage`, where the platform has it), and the R-LCB values
@@ -25,7 +26,9 @@ make is counted beside them (the line search scores its trials in
 batches, so this shows the mechanism behind the timings), and at (35, 6)
 so is their descent work: descents, L-BFGS iterations (one line search
 each) and failed line searches, counted by wrapping `acquisition._descend`
-and `acquisition._line_search` from here.  The environment (Python,
+and `acquisition._line_search` from here, and the model passes (`rates`
+plus `rate_and_input_grad` calls) per L-BFGS iteration of one
+`propose_next`.  The environment (Python,
 numpy, BLAS, `nproc`, `OPENBLAS_NUM_THREADS`) is recorded:
 
     OPENBLAS_NUM_THREADS=1 python studies/layers.py [--src DIR] [--out FILE]
@@ -129,14 +132,20 @@ def training_pass(surrogate, model):
 def descent(acquisition, model, x0, cfg, n: int, threshold: float):
     """One `_descend` from x0 as a thunk, for this checkout's signature.
 
-    `_descend` takes the start's objective value from its caller, which
-    scores all restart starts in one batch; checkouts from before that
-    scored the start inside `_descend`.
+    `_descend` takes the start's objective value, and now also its
+    gradient, from its caller, which scores all restart starts in one
+    batch; checkouts from before that scored the start, or took its
+    gradient, inside `_descend`.
     """
-    if "f" not in inspect.signature(acquisition._descend).parameters:
+    parameters = inspect.signature(acquisition._descend).parameters
+    if "f" not in parameters:
         return lambda: acquisition._descend(model, x0, cfg, n, threshold)
     values, _ = acquisition.objective_and_drate(model.rates(x0[None, :]), n, cfg, drate=False)
-    return lambda: acquisition._descend(model, x0, float(values[0]), cfg, n, threshold)
+    f = float(values[0])
+    if "g" not in parameters:
+        return lambda: acquisition._descend(model, x0, f, cfg, n, threshold)
+    g = acquisition._rate_and_objective_grad(model, x0, cfg, n)[1]
+    return lambda: acquisition._descend(model, x0, f, g, cfg, n, threshold)
 
 
 def normalizer(poisson, surrogate, rates, n: int):
@@ -168,21 +177,21 @@ def warm_fit(surrogate, model, obs, steps: int):
     return thunk
 
 
-def rates_calls(model, fn) -> int:
-    """Number of `model.rates` calls made by one call of fn."""
+def model_calls(model, fn, name: str = "rates") -> int:
+    """Number of calls of the model's method `name` made by one call of fn."""
     calls = 0
-    method = model.rates
+    method = getattr(model, name)
 
-    def counted(x):
+    def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return method(x)
+        return method(*args, **kwargs)
 
-    model.rates = counted
+    setattr(model, name, counted)
     try:
         fn()
     finally:
-        del model.rates
+        delattr(model, name)
     return calls
 
 
@@ -271,8 +280,8 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
         "_descend": timed(descend, smoke),
         "propose_next": timed(propose, smoke),
         "compute_ranks": timed(lambda: surrogate.compute_ranks(obs.values), smoke),
-        "rates_calls": {"_descend": rates_calls(model, descend),
-                        "propose_next": rates_calls(model, propose)},
+        "rates_calls": {"_descend": model_calls(model, descend),
+                        "propose_next": model_calls(model, propose)},
     }
     if isinstance(space, DiscreteSpace):
         rows = space.candidates[rng.integers(0, space.n_candidates,
@@ -288,6 +297,13 @@ def measure(n: int, dim: int, smoke: bool) -> dict:
     else:
         report["descent_work"] = {"_descend": descent_work(acquisition, descend),
                                   "propose_next": descent_work(acquisition, propose)}
+        # Every forward pass the proposal makes, per L-BFGS iteration: about
+        # 2 while each accepted iterate took its own gradient pass, about 1
+        # once the line search's pass supplies it.
+        passes = model_calls(model, propose) + model_calls(model, propose,
+                                                           "rate_and_input_grad")
+        work = report["descent_work"]["propose_next"]
+        work["model_passes_per_iteration"] = passes / max(work["iterations"], 1)
         report["rate_and_input_grad"] = timed(lambda: model.rate_and_input_grad(x0), smoke)
         report["rates_one_row"] = timed(lambda: model.rates(x0[None, :]), smoke)
     # Timed last, since each fit leaves the model trained on from its start.

@@ -18,7 +18,13 @@ from popbo.acquisition import (
     propose_next,
 )
 from popbo.errors import DomainError, PreconditionError, RectifiedRegionError
-from popbo.poisson import log_factorials, log_partial_exp_sum, pmf_vector
+from popbo.poisson import (
+    log_factorials,
+    log_normalizer,
+    log_partial_exp_sum,
+    partial_sum_log_terms,
+    pmf_vector,
+)
 from popbo.space import ContinuousSpace, DiscreteSpace
 from popbo.surrogate import IntensityModel, ObservationSet
 
@@ -375,6 +381,27 @@ class TestClosedForm:
                 np.testing.assert_array_equal(
                     values, objective_and_drate(rates, n_obs, cfg)[0])
 
+    def test_eri_below_the_switch_reads_the_normalizer_terms(self):
+        # The two-matrix form ERI used before it read p_0..p_{k_max-1}'s terms
+        # off the normalizer's own matrix; the columns are bitwise prefixes.
+        def two_matrix(rates, n_obs, k_max):
+            log_z = log_normalizer(rates, n_obs, n_obs, 1)
+            pmf = np.exp(partial_sum_log_terms(rates, k_max - 1) - log_z[0][..., None])
+            cdf = np.add.accumulate(pmf, axis=-1)
+            eri_values = cdf.sum(axis=-1)
+            return -eri_values, cdf[..., -1] - (1.0 - log_z[1]) * eri_values
+
+        rng = np.random.default_rng(76)
+        rates = np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 30.0, size=200),
+                                10.0 ** rng.uniform(-8.0, 4.0, size=200)])
+        for n_obs in range(1, 12):
+            for k_max in range(1, n_obs + 1):
+                cfg = AcquisitionConfig(kind="eri", k_max=k_max)
+                values, slopes = objective_and_drate(rates, n_obs, cfg)
+                ref_values, ref_slopes = two_matrix(rates, n_obs, k_max)
+                np.testing.assert_array_equal(values, ref_values)
+                np.testing.assert_array_equal(slopes, ref_slopes)
+
 
 class TestGradAcquisition:
     @pytest.mark.parametrize("kind", ["r-lcb", "eri"])
@@ -465,16 +492,21 @@ class TestProposeContinuous:
 
 
 class RecordingModel:
-    """A model whose `rates` calls are recorded, batch by batch."""
+    """A model whose `rates` calls are recorded, batch by batch, with their keep flags."""
 
     def __init__(self, model):
         self.model = model
         self.batches = []
+        self.kept = []
         self.grad_calls = 0
 
-    def rates(self, x):
+    def rates(self, x, keep=False):
         self.batches.append(np.array(x, dtype=float))
-        return self.model.rates(x)
+        self.kept.append(keep)
+        return self.model.rates(x, keep=keep)
+
+    def input_grad(self, caches, j):
+        return self.model.input_grad(caches, j)
 
     def rate_and_input_grad(self, x):
         self.grad_calls += 1
@@ -561,9 +593,16 @@ class TestBlockedLineSearch:
                 if first is None:
                     assert result is None
                 else:
-                    x_new, f_new, _ = result
+                    x_new, f_new, rate_new, slope_new, caches, j = result
                     np.testing.assert_array_equal(x_new, trials[first])
                     assert f_new == pytest.approx(values[first], rel=1e-12, abs=1e-12)
+                    # Row j of the kept pass is the accepted trial, with its
+                    # rate and d objective / d rate.
+                    np.testing.assert_array_equal(caches[0][0][j], x_new)
+                    assert rate_new == pytest.approx(float(model.rates(x_new[None, :])[0]),
+                                                     rel=1e-12)
+                    assert slope_new == pytest.approx(
+                        slope(kind, rate_new, n_obs, q=1.0, k_max=3), rel=1e-12, abs=1e-15)
                 accepted_at.append(first)
         # The instances accept in the first trial and past the first block,
         # and some exhaust the search.
@@ -633,24 +672,32 @@ class TestBlockedLineSearch:
         cfg = AcquisitionConfig(kind="r-lcb", q=1.0, rng_seed=3)
         x = propose_next(recording, DiscreteSpace(cands), obs, cfg)
         assert [b.shape for b in recording.batches] == [(acquisition._DISCRETE_SAMPLES, 2)]
+        assert recording.kept == [False]
         assert (recording.model.rates(recording.batches[0]) < cfg.q * len(obs)).any()
         assert recording.grad_calls == 0
         assert any(np.array_equal(x, c) for c in cands)
 
 
-def recorded_descent(monkeypatch, model, x, cfg, n_obs):
-    """(_descend's result, [(f, p, accepted) per line search]) from x."""
+def recording_line_searches(monkeypatch):
+    """[(x, f, g, p, accepted) per line search] that _line_search appends to from now on."""
     searches = []
     line_search = acquisition._line_search
 
     def recording(model, x, f, g, p, cfg, n_obs):
         accepted = line_search(model, x, f, g, p, cfg, n_obs)
-        searches.append((f, p.copy(), accepted))
+        searches.append((x.copy(), f, g.copy(), p.copy(), accepted))
         return accepted
 
     monkeypatch.setattr(acquisition, "_line_search", recording)
-    f, _ = start_of(model, x, cfg, n_obs)
-    return acquisition._descend(model, x.copy(), f, cfg, n_obs, cfg.q * n_obs), searches
+    return searches
+
+
+def recorded_descent(monkeypatch, model, x, cfg, n_obs):
+    """(_descend's result, [(f, p, accepted) per line search]) from x."""
+    searches = recording_line_searches(monkeypatch)
+    f, g = start_of(model, x, cfg, n_obs)
+    result = acquisition._descend(model, x.copy(), f, g, cfg, n_obs, cfg.q * n_obs)
+    return result, [(f, p, accepted) for _, f, _, p, accepted in searches]
 
 
 def meets_relative_decrease(f, f_new):
@@ -702,12 +749,43 @@ class TestDescent:
             for _ in range(10):
                 x = rng.uniform(size=3)
                 x[rng.uniform(size=3) < 0.3] = rng.integers(0, 2)
-                f, _ = start_of(model, x, cfg, n_obs)
-                x_end, value, frozen = acquisition._descend(model, x.copy(), f, cfg, n_obs,
+                f, g = start_of(model, x, cfg, n_obs)
+                x_end, value, frozen = acquisition._descend(model, x.copy(), f, g, cfg, n_obs,
                                                             cfg.q * n_obs)
                 assert (x_end >= 0.0).all() and (x_end <= 1.0).all()
                 if not frozen:
                     assert value <= f
+
+
+    @pytest.mark.parametrize("kind", ["r-lcb", "eri"])
+    def test_each_iterate_gradient_is_the_objective_gradient(self, kind, monkeypatch):
+        # Every line search starts from a scored start or an accepted iterate;
+        # its gradient comes from the kept pass that scored that point.
+        searches = recording_line_searches(monkeypatch)
+        rng = np.random.default_rng(77)
+        for model_seed in range(3):
+            model = IntensityModel.create(3, hidden=(16, 16), rng_seed=model_seed)
+            for n_obs in (8, 15):
+                obs = random_obs(rng, n_obs, 3)
+                cfg = AcquisitionConfig(kind=kind, q=1.0, k_max=3, rng_seed=model_seed)
+                propose_next(model, ContinuousSpace(3), obs, cfg)
+                for x, _, g, _, _ in searches:
+                    reference = grad_acquisition(model, x, cfg, n_obs)
+                    assert np.linalg.norm(g - reference) <= 1e-12 * np.linalg.norm(reference)
+                searches.clear()
+
+    def test_continuous_proposal_makes_no_gradient_call(self):
+        recording = RecordingModel(IntensityModel.create(3, hidden=(16, 16), rng_seed=4))
+        obs = random_obs(np.random.default_rng(78), 15, 3)
+        cfg = AcquisitionConfig(kind="eri", q=1.0, k_max=3, rng_seed=5)
+        x = propose_next(recording, ContinuousSpace(3), obs, cfg)
+        assert recording.grad_calls == 0
+        # The starts, then the Armijo blocks, each one kept pass.
+        assert recording.batches[0].shape == (acquisition._RESTARTS, 3)
+        assert len(recording.batches) > acquisition._RESTARTS
+        assert all(recording.kept)
+        np.testing.assert_array_equal(x, propose_next(recording.model, ContinuousSpace(3), obs,
+                                                      cfg))
 
 
 class TestProposeDiscrete:

@@ -74,7 +74,11 @@ class TestConfigValidation:
         lambda: dict(surrogate=TrainConfig(batch_size=2.5)),
         lambda: dict(hidden=(0,)),
         lambda: dict(surrogate=TrainConfig(initial_lr=math.inf)),
-    ], ids=["k_max", "steps", "batch_size", "hidden", "initial_lr"])
+        lambda: dict(surrogate=TrainConfig(initial_lr="0.01")),
+        lambda: dict(acquisition=AcquisitionConfig(q="0.5")),
+        lambda: dict(acquisition=AcquisitionConfig(beta=True)),
+    ], ids=["k_max", "steps", "batch_size", "hidden", "initial_lr", "initial_lr_text", "q_text",
+            "beta_bool"])
     def test_run_raises_before_any_evaluation(self, overrides):
         calls = []
 

@@ -1,10 +1,13 @@
-"""Tests for the package's exception types and its integer check."""
+"""Tests for the package's exception types and its integer and real-number checks."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
 
+from popbo.acquisition import AcquisitionConfig
+from popbo.benchmarks import get_benchmark
 from popbo.engine import RegretTrace
 from popbo.errors import (
     DomainError,
@@ -15,8 +18,9 @@ from popbo.errors import (
     TrainingDivergedError,
 )
 from popbo.poisson import TruncatedPoisson, pmf_vector
+from popbo.harness import ExperimentConfig
 from popbo.space import ContinuousSpace
-from popbo.surrogate import IntensityModel
+from popbo.surrogate import IntensityModel, TrainConfig
 
 WITH_ATTRIBUTES = {
     TrainingDivergedError: (TrainingDivergedError(7), {"step": 7}),
@@ -63,4 +67,30 @@ def test_counts_are_integers_not_bools(name, value, accepted):
         make(value)
         return
     with pytest.raises(error):
+        make(value)
+
+
+REAL_CHECKS = {
+    "initial_lr": (lambda v: TrainConfig(initial_lr=v), InputError),
+    "q": (lambda v: AcquisitionConfig(q=v), DomainError),
+    "beta": (lambda v: AcquisitionConfig(beta=v), DomainError),
+    "experiment_noise_sigma": (
+        lambda v: ExperimentConfig(benchmark="branin", method="random-search", noise_sigma=v),
+        DomainError),
+    "benchmark_noise_sigma": (lambda v: get_benchmark("branin", noise_sigma=v), InputError),
+}
+
+
+@pytest.mark.parametrize("value,accepted", [
+    (0.5, True), (np.float32(0.5), True), (1, True), (np.int64(1), True), (True, False),
+    (np.True_, False), ("0.5", False), (1j, False),
+], ids=["0.5", "np.float32", "int", "np.int64", "True", "np.True_", "str", "complex"])
+@pytest.mark.parametrize("name", sorted(REAL_CHECKS))
+def test_float_settings_are_reals_not_bools(name, value, accepted):
+    # A bool once passed as 1.0, and text raised a bare TypeError.
+    make, error = REAL_CHECKS[name]
+    if accepted:
+        make(value)
+        return
+    with pytest.raises(error, match=re.escape(repr(value))):
         make(value)

@@ -259,6 +259,45 @@ class TestBufferedRates:
         assert peak < 512 * 1024
 
 
+class TestKeptPass:
+    """rates(x, keep=True) keeps its forward pass, from which input_grad reads a row's gradient."""
+
+    @pytest.mark.parametrize("hidden", [DEFAULT_HIDDEN, (8, 16, 5)])
+    def test_rates_bitwise_equal_to_the_buffered_pass(self, hidden):
+        model = IntensityModel.create(4, hidden=hidden, rng_seed=3)
+        rng = np.random.default_rng(4)
+        for n in (1, 8, 1000):
+            x = rng.uniform(size=(n, 4))
+            kept, caches = model.rates(x, keep=True)
+            assert kept.tobytes() == model.rates(x).tobytes()
+            np.testing.assert_array_equal(caches[0][0], x)
+        # The kept pass allocates its own arrays and leaves the buffers alone.
+        fresh = IntensityModel.create(4, hidden=hidden, rng_seed=3)
+        fresh.rates(np.full((1000, 4), 0.5), keep=True)
+        assert all(buf.size == 0 for buf in fresh._layer_buffers)
+
+    def test_one_row_gradient_bitwise_equal_to_rate_and_input_grad(self):
+        model = IntensityModel.create(6, rng_seed=5)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            x = rng.uniform(size=6)
+            rate, grad = model.rate_and_input_grad(x)
+            rates, caches = model.rates(x[None, :], keep=True)
+            assert rates[0] == rate
+            assert model.input_grad(caches, 0).tobytes() == grad.tobytes()
+
+    def test_block_row_gradient_matches_rate_and_input_grad(self):
+        # A batched pass may round a row's activations differently in the
+        # last bit, so rows of a block agree to rounding only.
+        model = IntensityModel.create(6, rng_seed=6)
+        x = np.random.default_rng(6).uniform(size=(8, 6))
+        _, caches = model.rates(x, keep=True)
+        for j in range(8):
+            _, grad = model.rate_and_input_grad(x[j])
+            np.testing.assert_allclose(model.input_grad(caches, j), grad, rtol=1e-12,
+                                       atol=1e-12 * np.abs(grad).max())
+
+
 class TestLogLikelihood:
     def test_two_point_hand_value(self):
         # Both rates 1, ranks {0, 1}: each term is -log S(1) = -log 2.

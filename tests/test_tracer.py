@@ -45,7 +45,8 @@ def test_propose_next_runs_traced(tracer, kind, n_obs):
     assert spans.proposals == 1
     assert metrics["acquisition.rates_calls_per_propose"] >= acquisition._RESTARTS
     # The objective is closed form, and the truncated normalizer S(n_obs) is
-    # one shifted sum: no log-sum-exp is taken in either regime.
+    # read off one running logaddexp over its term matrix: no log-sum-exp is
+    # taken in either regime.
     assert metrics["acquisition.logsumexp_calls"] == 0
     assert "poisson.logsumexp" not in {span[0] for span in spans.spans}
 
