@@ -18,9 +18,8 @@ on continuous spaces only; a descent moves only the coordinates not held on
 a face and ends at a small gradient or a small relative decrease.  It calls
 the model only through `rates`, on batches of points (all starts at once,
 each Armijo block at once); on continuous spaces each call keeps its
-forward pass, whose row the descent continues from supplies that
-iterate's gradient (`input_grad`), so an L-BFGS iteration costs one model
-pass.
+forward pass, from which the gradient at a start or an accepted trial is
+read (`input_grad`), so an L-BFGS iteration costs one model pass.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, RectifiedRegionError, is_count, is_real
 # Unused but bound: perfbench/tracer.py patches log_factorials, log_partial_exp_sum, logsumexp.
-from .poisson import (TRUNCATION_SWITCH_N, log_factorials, log_normalizer, log_partial_exp_sum,
-                      logsumexp, partial_sum_log_terms)
+from .poisson import (log_factorials, log_normalizer, log_partial_exp_sum, logsumexp,
+                      partial_sum_log_terms)
 from .space import ContinuousSpace, DiscreteSpace
 from .surrogate import IntensityModel, ObservationSet
 
@@ -128,12 +127,8 @@ def objective_and_drate(rates, n_obs: int, cfg: AcquisitionConfig, drate: bool =
     if cfg.k_max == 0:
         zeros = np.zeros_like(rates)
         return zeros, zeros if drate else None
-    # Below the switch the normalizer's term matrix holds p_0..p_{k_max-1}'s
-    # terms as its first k_max columns (bitwise, as the columns are prefixes).
-    truncated = n_obs < TRUNCATION_SWITCH_N
-    terms = partial_sum_log_terms(rates, n_obs if truncated else cfg.k_max - 1)
-    log_z = log_normalizer(rates, n_obs, n_obs, 1 if drate else 0, terms)
-    pmf = np.exp(terms[..., :cfg.k_max] - log_z[0][..., None])
+    log_z = log_normalizer(rates, n_obs, n_obs, 1 if drate else 0)
+    pmf = np.exp(partial_sum_log_terms(rates, cfg.k_max - 1) - log_z[0][..., None])
     cdf = np.add.accumulate(pmf, axis=-1)
     eri_values = cdf.sum(axis=-1)
     if not drate:
@@ -172,18 +167,12 @@ def grad_acquisition(model: IntensityModel, x, cfg: AcquisitionConfig, n_obs: in
     x = np.asarray(x, dtype=float).reshape(-1)
     if not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails too
         raise DomainError("x must lie in the unit hypercube")
-    rate, grad = _rate_and_objective_grad(model, x, cfg, n_obs)
+    rate, d_rate = model.rate_and_input_grad(x)
+    _, slopes = objective_and_drate(np.array([rate]), n_obs, cfg)
     threshold = cfg.q * n_obs
     if rate >= threshold:
         raise RectifiedRegionError(rate, threshold)
-    return grad
-
-
-def _rate_and_objective_grad(model: IntensityModel, x: np.ndarray, cfg: AcquisitionConfig,
-                             n_obs: int):
-    rate, d_rate = model.rate_and_input_grad(x)
-    _, slopes = objective_and_drate(np.array([rate]), n_obs, cfg)
-    return rate, slopes[0] * d_rate
+    return slopes[0] * d_rate
 
 
 def _projected_gradient(x: np.ndarray, g: np.ndarray):
@@ -209,29 +198,9 @@ def _two_loop_direction(g: np.ndarray, history: list) -> np.ndarray:
     return -q
 
 
-def _objective_rows(model: IntensityModel, xs: np.ndarray, cfg: AcquisitionConfig,
-                    n_obs: int, keep: bool = False):
-    """(objective values, rates, slopes, caches) at the rows of xs, from one `rates` call.
-
-    With keep the call keeps its forward pass, and row j's objective
-    gradient is slopes[j] * model.input_grad(caches, j); without keep,
-    slopes and caches are None.
-    """
-    if not keep:
-        rates = model.rates(xs)
-        return objective_and_drate(rates, n_obs, cfg, drate=False)[0], rates, None, None
-    rates, caches = model.rates(xs, keep=True)
-    values, slopes = objective_and_drate(rates, n_obs, cfg)
-    return values, rates, slopes, caches
-
-
 def _line_search(model: IntensityModel, x: np.ndarray, f: float, g: np.ndarray,
                  p: np.ndarray, cfg: AcquisitionConfig, n_obs: int):
-    """Backtracking Armijo search along p from x, or None when it fails.
-
-    Returns (x_new, f_new, rate_new, slope, caches, j): the accepted trial,
-    its objective value, rate and d objective / d rate, and the kept forward
-    pass of its block with the trial's row j in it.
+    """Backtracking Armijo search along p from x; (x_new, f_new, rate_new, g_new) or None.
 
     The trials are clip(x + alpha p) for alpha = 1, 1/2, ..., 2^-29 in that
     order, and the first with f_new <= f + c1 g . (x_new - x) is accepted.
@@ -239,7 +208,8 @@ def _line_search(model: IntensityModel, x: np.ndarray, f: float, g: np.ndarray,
     clipped step is zero (no later trial is scored).  Trials are scored a
     block of _TRIAL_BLOCKS at a time: the accepted trial is the one a
     sequential search would accept, and the rows after it cost only their
-    share of one batched forward pass.
+    share of one batched forward pass.  Each block's pass is kept, and the
+    objective gradient g_new at x_new is read from it (input_grad).
     """
     for lo, hi in _TRIAL_BLOCKS:
         trials = np.clip(x + _STEP_SIZES[lo:hi, None] * p, 0.0, 1.0)
@@ -248,12 +218,13 @@ def _line_search(model: IntensityModel, x: np.ndarray, f: float, g: np.ndarray,
         n = hi - lo if moving.all() else int(np.argmin(moving))
         if n == 0:
             return None
-        values, rates, slopes, caches = _objective_rows(model, trials[:n], cfg, n_obs,
-                                                        keep=True)
+        rates, caches = model.rates(trials[:n], keep=True)
+        values, slopes = objective_and_drate(rates, n_obs, cfg)
         passed = values <= f + _ARMIJO_C1 * (steps[:n] @ g)
         if passed.any():
             j = int(np.argmax(passed))
-            return trials[j], float(values[j]), float(rates[j]), float(slopes[j]), caches, j
+            return (trials[j], float(values[j]), float(rates[j]),
+                    slopes[j] * model.input_grad(caches, j))
         if n < hi - lo:
             return None
     return None
@@ -273,9 +244,7 @@ def _descend(model: IntensityModel, x: np.ndarray, f: float, g: np.ndarray,
     threshold is frozen where it stands and reports no objective value (the
     caller substitutes its eps draw); one that lowers f by at most
     _LBFGS_FTOL * max(|f|, |f_new|, 1) ends the descent (L-BFGS-B's factr
-    test).  Only the line searches call the model: the gradient at an
-    accepted iterate is built from the forward pass that scored it, and
-    only when the descent continues from it.
+    test).
     """
     history: list = []
 
@@ -290,12 +259,11 @@ def _descend(model: IntensityModel, x: np.ndarray, f: float, g: np.ndarray,
         accepted = _line_search(model, x, f, g, p, cfg, n_obs)
         if accepted is None:
             break
-        x_new, f_new, rate_new, slope, caches, j = accepted
+        x_new, f_new, rate_new, g_new = accepted
         if rate_new >= threshold:
             return x_new, None, True
         if f - f_new <= _LBFGS_FTOL * max(abs(f), abs(f_new), 1.0):
             return x_new, f_new, False
-        g_new = slope * model.input_grad(caches, j)
         s = x_new - x
         y = g_new - g
         sy = float(np.dot(s, y))
@@ -329,18 +297,19 @@ def propose_next(model: IntensityModel, space, obs: ObservationSet,
         subs = [np.random.default_rng([cfg.rng_seed, i]) for i in range(_RESTARTS)]
         starts = np.array([sub.uniform(size=space.dim) for sub in subs])
         eps = np.array([sub.uniform() for sub in subs])
+        rates, caches = model.rates(starts, keep=True)
     elif isinstance(space, DiscreteSpace):
         rng = np.random.default_rng(cfg.rng_seed)
         starts = space.candidates[rng.integers(0, space.n_candidates, size=_DISCRETE_SAMPLES)]
         eps = rng.uniform(size=_DISCRETE_SAMPLES)
+        rates, caches = model.rates(starts), None
     else:
         raise DomainError(f"unsupported search space {type(space).__name__}")
     threshold = cfg.q * n_obs
-    descends = isinstance(space, ContinuousSpace)
-    values, rates, slopes, caches = _objective_rows(model, starts, cfg, n_obs, keep=descends)
+    values, slopes = objective_and_drate(rates, n_obs, cfg, drate=caches is not None)
     live = rates < threshold
     values = np.where(live, values, eps)
-    if descends:
+    if caches is not None:
         for i in np.flatnonzero(live):
             g = slopes[i] * model.input_grad(caches, i)
             starts[i], val, frozen = _descend(model, starts[i].copy(), float(values[i]), g, cfg,

@@ -169,8 +169,7 @@ def pmf_vector(rate: float, max_rank: int) -> np.ndarray:
     return p / p.sum()
 
 
-def log_normalizer(rates: np.ndarray, n_obs: int, max_rank: int, order: int = 0,
-                   terms: np.ndarray | None = None) -> list:
+def log_normalizer(rates: np.ndarray, n_obs: int, max_rank: int, order: int = 0) -> list:
     """[log Z, d log Z / dr, d^2 log Z / dr^2][:order + 1] of the rank law per rate.
 
     The law on {0..max_rank} has p_k = r^k / k! / Z.  Fewer than
@@ -180,15 +179,11 @@ def log_normalizer(rates: np.ndarray, n_obs: int, max_rank: int, order: int = 0,
     like arrays).  As S'(m) = S(m-1), the truncated derivatives are
     S(m-1)/S(m) and S(m-2)/S(m) - (S(m-1)/S(m))^2, all read off one running
     sum; the first lies in [0, 1], since the sums never decrease.  S(-2)
-    enters only at max_rank 0, where it is -inf like S(-1).  A caller that
-    reads the term matrix itself passes it as terms, which must then be
-    partial_sum_log_terms(rates, max_rank); it is read only below the switch.
+    enters only at max_rank 0, where it is -inf like S(-1).
     """
     if n_obs >= TRUNCATION_SWITCH_N:
         return [rates, 1.0, 0.0][:order + 1]
-    if terms is None:
-        terms = partial_sum_log_terms(rates, max_rank)
-    log_s = log_partial_exp_sums(terms)
+    log_s = log_partial_exp_sums(partial_sum_log_terms(rates, max_rank))
     out = [log_s[..., -1]]
     if order >= 1:
         out.append(np.exp(log_s[..., -2] - out[0]))

@@ -319,7 +319,12 @@ class IntensityModel:
         Returns:
             (rate, gradient) with gradient of shape (d,).
         """
-        rates, caches = self.rates(np.asarray(x, dtype=float).reshape(1, -1), keep=True)
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        if x.shape[1] != self.dim:
+            raise InputError(f"expected {self.dim} coordinates, got {x.shape[1]}")
+        if not np.isfinite(x).all():
+            raise InputError("non-finite inputs")
+        rates, caches = self._forward(x)
         return float(rates[0]), self.input_grad(caches, 0)
 
 

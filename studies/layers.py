@@ -144,7 +144,8 @@ def descent(acquisition, model, x0, cfg, n: int, threshold: float):
     f = float(values[0])
     if "g" not in parameters:
         return lambda: acquisition._descend(model, x0, f, cfg, n, threshold)
-    g = acquisition._rate_and_objective_grad(model, x0, cfg, n)[1]
+    rates, caches = model.rates(x0[None, :], keep=True)
+    g = acquisition.objective_and_drate(rates, n, cfg)[1][0] * model.input_grad(caches, 0)
     return lambda: acquisition._descend(model, x0, f, g, cfg, n, threshold)
 
 
